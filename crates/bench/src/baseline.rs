@@ -28,8 +28,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dspp_core::{
-    Allocation, DsppBuilder, MpcController, MpcSettings, PlacementController, RoutingPolicy,
-    StructuredHorizon,
+    Allocation, DsppBuilder, HorizonProblem, MpcController, MpcSettings, PlacementController,
+    RoutingPolicy,
 };
 use dspp_experiments::tournament;
 use dspp_game::{GameConfig, ResourceGame, SpSampler};
@@ -671,17 +671,20 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
         let prices: Vec<Vec<f64>> = (0..problem.num_dcs())
             .map(|l| vec![problem.price(l, 0); horizon])
             .collect();
-        let sh = StructuredHorizon::build(&problem, &x0, &demand, &prices)
-            .expect("large fixture builds");
+        let horizon_problem =
+            HorizonProblem::build(&problem, &x0, &demand, &prices).expect("large fixture builds");
         let ipm_large = IpmSettings::fast();
         let telemetry = Recorder::enabled();
         let (sol, large_allocs) = alloc_count::count(|| {
-            sh.solve_warm_traced(&ipm_large, None, &telemetry)
+            horizon_problem
+                .solve_warm_traced(&ipm_large, None, &telemetry)
                 .expect("large fixture solves")
         });
         let snap = telemetry.snapshot().expect("enabled recorder");
         measure("solver.lq_solve.large", 1, iters.min(5), || {
-            sh.solve(&ipm_large).expect("large fixture solves");
+            horizon_problem
+                .solve(&ipm_large)
+                .expect("large fixture solves");
         })
         .with_counters(vec![
             ("ipm_iterations".to_string(), sol.iterations as f64),

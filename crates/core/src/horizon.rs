@@ -1,9 +1,18 @@
 use crate::{Allocation, CoreError, Dspp};
 use dspp_linalg::{Matrix, Vector};
 use dspp_solver::{
-    preflight_lq, relax_lq_slots, solve_lq_warm, CouplingRow, DiagRow, FeasibilityReport,
-    IpmSettings, LqProblem, LqRowLayout, LqSolution, LqStage, LqTerminal, SoftSpec, StructuredLq,
+    relax_lq_slots, solve_lq_fallback, solve_lq_warm_traced, solve_structured, CouplingRow,
+    DenseFallback, DiagRow, FeasibilityReport, IpmSettings, LqProblem, LqSolution, SoftSpec,
+    SolverError, StructuredLq,
 };
+use dspp_telemetry::Recorder;
+
+/// Arc count from which horizons solve on the Schur backend
+/// ([`solve_structured`]); smaller ones expand to a dense [`LqProblem`]
+/// and take the Riccati backend. Below a few hundred arcs the Riccati
+/// recursion is already fast, and keeping every paper-scale instance (4
+/// DCs × 24 cities) on it keeps the paper's figures byte-identical.
+const STRUCTURED_MIN_ARCS: usize = 200;
 
 /// How the recovery solve (the always-feasible relaxation of the horizon
 /// problem) penalizes unserved demand.
@@ -83,12 +92,24 @@ impl RecoveryOutcome {
 ///      x_j ≥ 0
 /// ```
 ///
-/// Constraint rows per stage are laid out demand-first, then capacity, then
-/// non-negativity; [`HorizonProblem::capacity_duals`] exploits that layout
-/// to extract the per-DC shadow prices the multi-provider game needs.
+/// The problem is held in the solver's compact [`StructuredLq`] form —
+/// demand rows as coupling group A, capacity rows as group B,
+/// non-negativity as single-arc rows — so no dense constraint matrix is
+/// built unless the dense backend runs. Constraint rows per stage are laid
+/// out demand-first, then capacity, then non-negativity;
+/// [`HorizonProblem::capacity_duals`] exploits that layout to extract the
+/// per-DC shadow prices the multi-provider game needs.
+///
+/// Solves take the Schur backend from 200 arcs on, and the Riccati backend
+/// on [`HorizonProblem::to_lq`] below that, for rate-limited horizons, and
+/// for recovery solves (the last two counted as
+/// `solver.lq.dense_fallback.*` at scale).
 #[derive(Debug, Clone)]
 pub struct HorizonProblem {
-    lq: LqProblem,
+    slq: StructuredLq,
+    /// Per-arc reconfiguration rate limit `|u_e| ≤ u_max`, expanded into
+    /// input rows by [`HorizonProblem::to_lq`].
+    max_reconfiguration: Option<f64>,
     num_dcs: usize,
     num_locations: usize,
     horizon: usize,
@@ -109,57 +130,35 @@ impl HorizonProblem {
     /// # Errors
     ///
     /// * [`CoreError::InvalidSpec`] for shape mismatches or a zero horizon.
-    /// * [`CoreError::Solver`] if the LQ problem fails validation (should
-    ///   not happen for a compiled [`Dspp`]).
+    /// * [`CoreError::Solver`] if the compact problem fails validation
+    ///   (should not happen for a compiled [`Dspp`]).
     pub fn build(
         problem: &Dspp,
         x0: &Allocation,
         demand_forecast: &[Vec<f64>],
         price_forecast: &[Vec<f64>],
     ) -> Result<Self, CoreError> {
-        Self::build_with_stage_capacities(problem, x0, demand_forecast, price_forecast, None)
-    }
-
-    /// Like [`HorizonProblem::build`], but with per-stage capacity vectors:
-    /// `capacities[t][l]` caps data center `l` during period `k+1+t`,
-    /// overriding the problem's static capacities.
-    ///
-    /// The multi-provider game uses this for unilateral-deviation checks,
-    /// where the capacity left for one provider is whatever the others'
-    /// (time-varying) allocations do not occupy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`HorizonProblem::build`], plus mismatched
-    /// capacity shapes.
-    pub fn build_with_stage_capacities(
-        problem: &Dspp,
-        x0: &Allocation,
-        demand_forecast: &[Vec<f64>],
-        price_forecast: &[Vec<f64>],
-        stage_capacities: Option<&[Vec<f64>]>,
-    ) -> Result<Self, CoreError> {
-        Self::build_full(
-            problem,
-            x0,
-            demand_forecast,
-            price_forecast,
-            stage_capacities,
-            None,
-        )
+        Self::build_full(problem, x0, demand_forecast, price_forecast, None, None)
     }
 
     /// The fully general builder: per-stage capacities plus an optional
     /// reconfiguration rate limit `|u_e| ≤ u_max` per arc and period.
     ///
+    /// `stage_capacities[t][l]` caps data center `l` during period `k+1+t`,
+    /// overriding the problem's static capacities: the fault plane's
+    /// capacity schedules enter here, and the multi-provider game uses it
+    /// for unilateral-deviation checks, where the capacity left for one
+    /// provider is whatever the others' (time-varying) allocations do not
+    /// occupy.
+    ///
     /// Rate limits model operational change budgets (image distribution
-    /// bandwidth, change-window policies); they enter the LQ problem as
+    /// bandwidth, change-window policies); they enter the dense problem as
     /// input rows appended after the state rows of each non-terminal stage.
     ///
     /// # Errors
     ///
-    /// As [`HorizonProblem::build`], plus rejection of a non-positive
-    /// `max_reconfiguration`.
+    /// As [`HorizonProblem::build`], plus mismatched capacity shapes and
+    /// rejection of a non-positive `max_reconfiguration`.
     pub fn build_full(
         problem: &Dspp,
         x0: &Allocation,
@@ -228,78 +227,62 @@ impl HorizonProblem {
             }
         };
 
-        // Constraint matrix shared by all stages: demand, capacity, nonneg.
+        // Rows shared by all constrained slots: demand (-Σ x/a ≤ -D),
+        // capacity (Σ s·x ≤ C), non-negativity (-x ≤ 0). A DC that no
+        // location reaches keeps its (empty) capacity row.
         let m_rows = nv + nl + n;
-        let mut cx = Matrix::zeros(m_rows, n);
-        for (e, &(l, v)) in problem.arcs().iter().enumerate() {
-            cx[(v, e)] = -1.0 / problem.arc_coeff(e); // -Σ x/a ≤ -D
-            cx[(nv + l, e)] = problem.server_size(); // Σ s·x ≤ C
-            cx[(nv + nl + e, e)] = -1.0; // -x ≤ 0
-        }
-        let d_for_stage = |t: usize| {
-            // Forecast index t covers state x_{t+1}.
-            let mut d = Vector::zeros(m_rows);
-            for l in 0..nl {
-                d[nv + l] = capacity_at(t, l);
-            }
-            d
-        };
-
-        // Input penalty: R = 2·diag(c_l per arc) so ½uᵀRu = Σ c_e u_e².
-        let reconfig: Vector = problem
-            .arcs()
-            .iter()
-            .map(|&(l, _)| problem.reconfig_weight(l))
+        let mut group_a: Vec<CouplingRow> = (0..nv)
+            .map(|v| CouplingRow {
+                row: v,
+                entries: Vec::new(),
+            })
             .collect();
+        let mut group_b: Vec<CouplingRow> = (0..nl)
+            .map(|l| CouplingRow {
+                row: nv + l,
+                entries: Vec::new(),
+            })
+            .collect();
+        let mut diag_rows = Vec::with_capacity(n);
+        for (e, &(l, v)) in problem.arcs().iter().enumerate() {
+            group_a[v].entries.push((e, -1.0 / problem.arc_coeff(e)));
+            group_b[l].entries.push((e, problem.server_size()));
+            diag_rows.push(DiagRow {
+                row: nv + nl + e,
+                arc: e,
+                coeff: -1.0,
+            });
+        }
 
-        // Optional |u| ≤ u_max rows, appended after the state rows.
-        let rate_rows = max_reconfiguration.map(|umax| {
-            let mut cu = Matrix::zeros(2 * n, n);
-            for e in 0..n {
-                cu[(e, e)] = 1.0;
-                cu[(n + e, e)] = -1.0;
-            }
-            (cu, Vector::filled(2 * n, umax))
-        });
-
-        let mut stages = Vec::with_capacity(horizon);
-        for j in 0..horizon {
-            let mut stage = LqStage::identity_dynamics(n).with_input_penalty(&reconfig);
-            if j >= 1 {
-                // Stage-j state cost and constraints act on x_j, which is
-                // the allocation during period k+j (forecast index j-1).
-                let q: Vector = problem
+        // Slot j ≥ 1 constrains x_j, the allocation during period k+j
+        // (forecast index j−1); the terminal slot W takes the last one.
+        let ds: Vec<Vector> = (0..horizon)
+            .map(|t| {
+                let mut d = Vector::zeros(m_rows);
+                for l in 0..nl {
+                    d[nv + l] = capacity_at(t, l);
+                }
+                for (v, series) in demand_forecast.iter().enumerate() {
+                    d[v] = -series[t];
+                }
+                d
+            })
+            .collect();
+        let qs: Vec<Vector> = (0..horizon)
+            .map(|t| {
+                problem
                     .arcs()
                     .iter()
-                    .map(|&(l, _)| price_forecast[l][j - 1])
-                    .collect();
-                let mut d = d_for_stage(j - 1);
-                for v in 0..nv {
-                    d[v] = -demand_forecast[v][j - 1];
-                }
-                stage = stage.with_state_cost(q).with_constraints(
-                    cx.clone(),
-                    Matrix::zeros(m_rows, n),
-                    d,
-                );
-            }
-            if let Some((cu, d_rate)) = &rate_rows {
-                stage = stage.with_constraints(Matrix::zeros(2 * n, n), cu.clone(), d_rate.clone());
-            }
-            stages.push(stage);
-        }
-        let q_term: Vector = problem
+                    .map(|&(l, _)| price_forecast[l][t])
+                    .collect()
+            })
+            .collect();
+        // Input penalty: R = 2·diag(c_l per arc) so ½uᵀRu = Σ c_e u_e².
+        let r_diag: Vector = problem
             .arcs()
             .iter()
-            .map(|&(l, _)| price_forecast[l][horizon - 1])
+            .map(|&(l, _)| 2.0 * problem.reconfig_weight(l))
             .collect();
-        let mut d_term = d_for_stage(horizon - 1);
-        for v in 0..nv {
-            d_term[v] = -demand_forecast[v][horizon - 1];
-        }
-        let terminal = LqTerminal::free(n)
-            .with_state_cost(q_term)
-            .with_constraints(cx, d_term);
 
         let mut resource_per_demand = vec![f64::INFINITY; nv];
         for (e, &(_, v)) in problem.arcs().iter().enumerate() {
@@ -307,9 +290,21 @@ impl HorizonProblem {
             resource_per_demand[v] = resource_per_demand[v].min(per_unit);
         }
 
-        let lq = LqProblem::new(Vector::from(x0.arc_values()), stages, terminal)?;
+        let slq = StructuredLq::new(
+            Vector::from(x0.arc_values()),
+            Vector::zeros(n),
+            qs,
+            vec![r_diag; horizon],
+            vec![Vector::zeros(n); horizon],
+            ds,
+            diag_rows,
+            group_a,
+            group_b,
+            m_rows,
+        )?;
         Ok(HorizonProblem {
-            lq,
+            slq,
+            max_reconfiguration,
             num_dcs: nl,
             num_locations: nv,
             horizon,
@@ -317,9 +312,36 @@ impl HorizonProblem {
         })
     }
 
-    /// The underlying stage-structured problem.
-    pub fn lq(&self) -> &LqProblem {
-        &self.lq
+    /// The compact problem the Schur backend solves.
+    pub fn slq(&self) -> &StructuredLq {
+        &self.slq
+    }
+
+    /// Expands to the equivalent dense [`LqProblem`] the Riccati backend
+    /// solves, with the rate-limit rows `±u_e ≤ u_max` (if any) appended to
+    /// every stage.
+    ///
+    /// # Panics
+    ///
+    /// Does not panic: by construction the expansion always validates.
+    pub fn to_lq(&self) -> LqProblem {
+        let lq = self.slq.to_lq();
+        let Some(umax) = self.max_reconfiguration else {
+            return lq;
+        };
+        let n = lq.state_dim();
+        let mut cu = Matrix::zeros(2 * n, n);
+        for e in 0..n {
+            cu[(e, e)] = 1.0;
+            cu[(n + e, e)] = -1.0;
+        }
+        let d_rate = Vector::filled(2 * n, umax);
+        let stages = lq
+            .stages
+            .into_iter()
+            .map(|st| st.with_constraints(Matrix::zeros(2 * n, n), cu.clone(), d_rate.clone()))
+            .collect();
+        LqProblem::new(lq.x0, stages, lq.terminal).expect("rate-limited expansion is valid")
     }
 
     /// Horizon length `W`.
@@ -346,9 +368,9 @@ impl HorizonProblem {
     pub fn solve_warm(
         &self,
         settings: &IpmSettings,
-        warm_us: Option<&[dspp_linalg::Vector]>,
+        warm_us: Option<&[Vector]>,
     ) -> Result<LqSolution, CoreError> {
-        Ok(solve_lq_warm(&self.lq, settings, warm_us)?)
+        self.solve_warm_traced(settings, warm_us, &Recorder::disabled())
     }
 
     /// [`HorizonProblem::solve_warm`] with solver metrics (`solver.lq.*`)
@@ -360,12 +382,41 @@ impl HorizonProblem {
     pub fn solve_warm_traced(
         &self,
         settings: &IpmSettings,
-        warm_us: Option<&[dspp_linalg::Vector]>,
-        telemetry: &dspp_telemetry::Recorder,
+        warm_us: Option<&[Vector]>,
+        telemetry: &Recorder,
     ) -> Result<LqSolution, CoreError> {
-        Ok(dspp_solver::solve_lq_warm_traced(
-            &self.lq, settings, warm_us, telemetry,
-        )?)
+        let sol =
+            if self.slq.state_dim() >= STRUCTURED_MIN_ARCS && self.max_reconfiguration.is_none() {
+                solve_structured(&self.slq, settings, warm_us, telemetry)
+            } else {
+                // At scale, only a rate limit keeps a strict solve dense.
+                self.solve_dense(
+                    &self.to_lq(),
+                    settings,
+                    warm_us,
+                    telemetry,
+                    DenseFallback::RateLimit,
+                )
+            };
+        Ok(sol?)
+    }
+
+    /// Solves a dense expansion of this horizon on the Riccati backend,
+    /// counted as a `why` fallback when the horizon has enough arcs for
+    /// the Schur backend.
+    fn solve_dense(
+        &self,
+        lq: &LqProblem,
+        settings: &IpmSettings,
+        warm_us: Option<&[Vector]>,
+        telemetry: &Recorder,
+        why: DenseFallback,
+    ) -> Result<LqSolution, SolverError> {
+        if self.slq.state_dim() < STRUCTURED_MIN_ARCS {
+            solve_lq_warm_traced(lq, settings, warm_us, telemetry)
+        } else {
+            solve_lq_fallback(lq, settings, warm_us, telemetry, why)
+        }
     }
 
     /// Aggregate feasibility preflight: per period, can the SLA-scaled
@@ -376,16 +427,9 @@ impl HorizonProblem {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Solver`] only for a malformed underlying
-    /// problem, which the builder never produces.
+    /// None: the builder already validated every row the check reads.
     pub fn preflight(&self) -> Result<FeasibilityReport, CoreError> {
-        Ok(preflight_lq(
-            &self.lq,
-            &LqRowLayout {
-                demand_rows: self.num_locations,
-                capacity_rows: self.num_dcs,
-            },
-        )?)
+        Ok(self.slq.preflight())
     }
 
     /// Solves the always-feasible relaxation of the horizon problem: the
@@ -408,8 +452,8 @@ impl HorizonProblem {
         &self,
         settings: &IpmSettings,
         recovery: &RecoverySettings,
-        warm_us: Option<&[dspp_linalg::Vector]>,
-        telemetry: &dspp_telemetry::Recorder,
+        warm_us: Option<&[Vector]>,
+        telemetry: &Recorder,
     ) -> Result<RecoveryOutcome, CoreError> {
         if !(recovery.penalty.is_finite() && recovery.penalty > 0.0) {
             return Err(CoreError::InvalidSpec(format!(
@@ -431,17 +475,19 @@ impl HorizonProblem {
         // Soften every constrained slot except stage 0, whose only
         // possible rows are rate limits on u_0 (x_0 is fixed, so it
         // carries no demand rows to soften).
-        let mut soften = vec![true; self.lq.horizon() + 1];
+        let lq = self.to_lq();
+        let mut soften = vec![true; lq.horizon() + 1];
         soften[0] = false;
-        let relaxed = relax_lq_slots(&self.lq, &spec, &soften)?;
+        let relaxed = relax_lq_slots(&lq, &spec, &soften)?;
         let warm = warm_us.map(|us| relaxed.extend_warm_start(us));
-        let sol = dspp_solver::solve_lq_warm_traced(
+        let sol = self.solve_dense(
             &relaxed.problem,
             settings,
             warm.as_deref(),
             telemetry,
+            DenseFallback::Recovery,
         )?;
-        let split = relaxed.split_solution(&self.lq, &sol);
+        let split = relaxed.split_solution(&lq, &sol);
 
         // Map slot slacks back onto forecast periods: stage j (j ≥ 1)
         // constrains x_j, covering forecast index j−1; the terminal slot
@@ -485,7 +531,7 @@ impl HorizonProblem {
                 continue;
             }
             assert!(
-                duals.len() >= self.num_locations + self.num_dcs + self.lq.state_dim(),
+                duals.len() >= self.num_locations + self.num_dcs + self.slq.state_dim(),
                 "solution does not match this horizon problem"
             );
             for l in 0..self.num_dcs {
@@ -501,231 +547,6 @@ impl HorizonProblem {
     /// # Panics
     ///
     /// Panics if `sol` does not belong to this problem.
-    pub fn demand_duals(&self, sol: &LqSolution) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_locations];
-        for duals in sol.stage_duals.iter().skip(1) {
-            if duals.is_empty() {
-                continue;
-            }
-            for v in 0..self.num_locations {
-                out[v] += duals[v];
-            }
-        }
-        out
-    }
-}
-
-/// The horizon-truncated DSPP assembled directly in the solver's compact
-/// [`StructuredLq`] form — no dense constraint matrices are ever built.
-///
-/// [`HorizonProblem::build`] materializes an `(nv+nl+n) × n` constraint
-/// matrix per stage; at the 100×-scale instances (100 DCs × 1000
-/// locations, hundreds of thousands of arcs) that is gigabytes of mostly
-/// structural zeros before the solver even starts. This builder emits the
-/// same rows — demand first, then capacity, then non-negativity, exactly
-/// the layout [`HorizonProblem`] documents — as sparse coupling/diagonal
-/// row descriptions, and [`StructuredHorizon::solve_warm_traced`] feeds them
-/// straight to the structure-exploiting KKT path
-/// ([`dspp_solver::solve_structured`]).
-///
-/// Rate limits and per-stage capacity overrides are intentionally not
-/// offered: those solves belong on the dense path (the structured
-/// backend's detector rejects them for the same reason).
-#[derive(Debug, Clone)]
-pub struct StructuredHorizon {
-    slq: StructuredLq,
-    num_dcs: usize,
-    num_locations: usize,
-    horizon: usize,
-}
-
-impl StructuredHorizon {
-    /// Assembles the compact horizon problem; arguments and validation
-    /// mirror [`HorizonProblem::build`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidSpec`] for shape mismatches or a zero horizon;
-    /// [`CoreError::Solver`] if the compact problem fails the solver's
-    /// structural validation (e.g. a non-positive reconfiguration weight).
-    pub fn build(
-        problem: &Dspp,
-        x0: &Allocation,
-        demand_forecast: &[Vec<f64>],
-        price_forecast: &[Vec<f64>],
-    ) -> Result<Self, CoreError> {
-        let n = problem.num_arcs();
-        let nl = problem.num_dcs();
-        let nv = problem.num_locations();
-        if demand_forecast.len() != nv {
-            return Err(CoreError::InvalidSpec(format!(
-                "demand forecast has {} locations, expected {nv}",
-                demand_forecast.len()
-            )));
-        }
-        if price_forecast.len() != nl {
-            return Err(CoreError::InvalidSpec(format!(
-                "price forecast has {} data centers, expected {nl}",
-                price_forecast.len()
-            )));
-        }
-        let horizon = demand_forecast.first().map_or(0, Vec::len);
-        if horizon == 0 {
-            return Err(CoreError::InvalidSpec("horizon must be positive".into()));
-        }
-        if demand_forecast.iter().any(|d| d.len() != horizon)
-            || price_forecast.iter().any(|p| p.len() != horizon)
-        {
-            return Err(CoreError::InvalidSpec(
-                "forecast series have inconsistent horizons".into(),
-            ));
-        }
-        if x0.arc_values().len() != n {
-            return Err(CoreError::InvalidSpec(format!(
-                "initial allocation has {} arcs, expected {n}",
-                x0.arc_values().len()
-            )));
-        }
-
-        // Same per-slot row layout as the dense builder: demand rows
-        // 0..nv, capacity rows nv..nv+nl, non-negativity rows after.
-        let m_rows = nv + nl + n;
-        let mut group_a: Vec<CouplingRow> = (0..nv)
-            .map(|v| CouplingRow {
-                row: v,
-                entries: Vec::new(),
-            })
-            .collect();
-        let mut group_b: Vec<CouplingRow> = (0..nl)
-            .map(|l| CouplingRow {
-                row: nv + l,
-                entries: Vec::new(),
-            })
-            .collect();
-        let mut diag_rows = Vec::with_capacity(n);
-        for (e, &(l, v)) in problem.arcs().iter().enumerate() {
-            group_a[v].entries.push((e, -1.0 / problem.arc_coeff(e)));
-            group_b[l].entries.push((e, problem.server_size()));
-            diag_rows.push(DiagRow {
-                row: nv + nl + e,
-                arc: e,
-                coeff: -1.0,
-            });
-        }
-
-        // Slot k constrains x_k, covering forecast index k−1 (the
-        // terminal slot W reuses the last forecast, as the dense builder
-        // does).
-        let ds: Vec<Vector> = (0..horizon)
-            .map(|t| {
-                let mut d = Vector::zeros(m_rows);
-                for (v, series) in demand_forecast.iter().enumerate() {
-                    d[v] = -series[t];
-                }
-                for l in 0..nl {
-                    d[nv + l] = problem.capacity(l);
-                }
-                d
-            })
-            .collect();
-        let qs: Vec<Vector> = (0..horizon)
-            .map(|t| {
-                problem
-                    .arcs()
-                    .iter()
-                    .map(|&(l, _)| price_forecast[l][t])
-                    .collect()
-            })
-            .collect();
-        // ½uᵀRu = Σ c_e u_e² ⇒ Hessian diagonal 2·c_e, matching
-        // `with_input_penalty` on the dense path.
-        let r_diag: Vector = problem
-            .arcs()
-            .iter()
-            .map(|&(l, _)| 2.0 * problem.reconfig_weight(l))
-            .collect();
-
-        let slq = StructuredLq::new(
-            Vector::from(x0.arc_values()),
-            Vector::zeros(n),
-            qs,
-            vec![r_diag; horizon],
-            vec![Vector::zeros(n); horizon],
-            ds,
-            diag_rows,
-            group_a,
-            group_b,
-            m_rows,
-        )?;
-        Ok(StructuredHorizon {
-            slq,
-            num_dcs: nl,
-            num_locations: nv,
-            horizon,
-        })
-    }
-
-    /// The underlying compact problem.
-    pub fn slq(&self) -> &StructuredLq {
-        &self.slq
-    }
-
-    /// Horizon length `W`.
-    pub fn horizon(&self) -> usize {
-        self.horizon
-    }
-
-    /// Solves on the structured KKT path; cold start.
-    ///
-    /// # Errors
-    ///
-    /// As [`HorizonProblem::solve`].
-    pub fn solve(&self, settings: &IpmSettings) -> Result<LqSolution, CoreError> {
-        Ok(dspp_solver::solve_structured(&self.slq, settings)?)
-    }
-
-    /// Solves with an optional warm start and solver telemetry, mirroring
-    /// [`HorizonProblem::solve_warm_traced`].
-    ///
-    /// # Errors
-    ///
-    /// As [`HorizonProblem::solve`].
-    pub fn solve_warm_traced(
-        &self,
-        settings: &IpmSettings,
-        warm_us: Option<&[dspp_linalg::Vector]>,
-        telemetry: &dspp_telemetry::Recorder,
-    ) -> Result<LqSolution, CoreError> {
-        Ok(dspp_solver::solve_structured_warm_traced(
-            &self.slq, settings, warm_us, telemetry,
-        )?)
-    }
-
-    /// Per-DC capacity shadow prices, as [`HorizonProblem::capacity_duals`]
-    /// (the row layout is identical).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sol` does not belong to this problem.
-    pub fn capacity_duals(&self, sol: &LqSolution) -> Vec<f64> {
-        let mut out = vec![0.0; self.num_dcs];
-        for duals in sol.stage_duals.iter().skip(1) {
-            if duals.is_empty() {
-                continue;
-            }
-            assert!(
-                duals.len() >= self.num_locations + self.num_dcs + self.slq.state_dim(),
-                "solution does not match this horizon problem"
-            );
-            for l in 0..self.num_dcs {
-                out[l] += duals[self.num_locations + l];
-            }
-        }
-        out
-    }
-
-    /// Per-location demand shadow prices, as
-    /// [`HorizonProblem::demand_duals`].
     pub fn demand_duals(&self, sol: &LqSolution) -> Vec<f64> {
         let mut out = vec![0.0; self.num_locations];
         for duals in sol.stage_duals.iter().skip(1) {
@@ -987,19 +808,16 @@ mod tests {
     }
 
     #[test]
-    fn structured_horizon_matches_dense_builder() {
+    fn both_backends_agree_on_the_horizon() {
         let p = problem();
         let x0 = Allocation::zeros(&p);
         let demand = vec![flat(50.0, 4), flat(30.0, 4)];
         let prices = vec![vec![1.0, 1.2, 0.9, 1.1], vec![2.0, 1.8, 2.1, 1.9]];
         let h = HorizonProblem::build(&p, &x0, &demand, &prices).unwrap();
-        let sh = StructuredHorizon::build(&p, &x0, &demand, &prices).unwrap();
-        assert_eq!(sh.horizon(), h.horizon());
-        // The compact form and the dense detector agree on the problem.
-        assert!(StructuredLq::from_lq(h.lq()).is_some());
-        // Same optimum, same duals, through either pipeline.
-        let dense = h.solve(&IpmSettings::default()).unwrap();
-        let structured = sh.solve(&IpmSettings::default()).unwrap();
+        // Same optimum, same duals, through either KKT backend.
+        let ipm = IpmSettings::default();
+        let dense = dspp_solver::solve_lq(&h.to_lq(), &ipm).unwrap();
+        let structured = solve_structured(h.slq(), &ipm, None, &Recorder::disabled()).unwrap();
         assert!(
             (dense.objective - structured.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
             "objectives diverge: {} vs {}",
@@ -1012,37 +830,58 @@ mod tests {
             assert!(diff.norm_inf() < 1e-5);
         }
         let cd = h.capacity_duals(&dense);
-        let cs = sh.capacity_duals(&structured);
+        let cs = h.capacity_duals(&structured);
         for (a, b) in cd.iter().zip(&cs) {
             assert!((a - b).abs() < 1e-4, "capacity duals {cd:?} vs {cs:?}");
         }
         let dd = h.demand_duals(&dense);
-        let dsd = sh.demand_duals(&structured);
+        let dsd = h.demand_duals(&structured);
         for (a, b) in dd.iter().zip(&dsd) {
             assert!((a - b).abs() < 1e-4, "demand duals {dd:?} vs {dsd:?}");
         }
     }
 
     #[test]
-    fn structured_horizon_validates_shapes() {
+    fn dense_expansion_lays_out_state_then_rate_rows() {
         let p = problem();
         let x0 = Allocation::zeros(&p);
-        assert!(
-            StructuredHorizon::build(&p, &x0, &[flat(1.0, 3)], &[flat(1.0, 3), flat(1.0, 3)])
-                .is_err()
-        );
-        assert!(
-            StructuredHorizon::build(&p, &x0, &[flat(1.0, 3), flat(1.0, 3)], &[flat(1.0, 3)])
-                .is_err()
-        );
-        assert!(StructuredHorizon::build(
+        let (n, m_rows) = (p.num_arcs(), 2 + 2 + p.num_arcs());
+        let h = HorizonProblem::build_full(
             &p,
             &x0,
-            &[flat(1.0, 3), flat(1.0, 2)],
-            &[flat(1.0, 3), flat(1.0, 3)]
+            &[flat(50.0, 3), flat(30.0, 3)],
+            &[flat(1.0, 3), flat(2.0, 3)],
+            Some(&[vec![100.0, 50.0], vec![100.0, 60.0], vec![100.0, 70.0]]),
+            Some(0.5),
         )
-        .is_err());
-        assert!(StructuredHorizon::build(&p, &x0, &[vec![], vec![]], &[vec![], vec![]]).is_err());
+        .unwrap();
+        let lq = h.to_lq();
+        // Stage 0 carries only the rate rows on u_0; later stages carry
+        // the state rows followed by the rate rows; the terminal only
+        // state rows.
+        assert_eq!(lq.stages[0].num_constraints(), 2 * n);
+        for j in 1..3 {
+            let st = &lq.stages[j];
+            assert_eq!(st.num_constraints(), m_rows + 2 * n);
+            // Capacity row of DC 1 in period k+j, then a rate row.
+            assert_eq!(st.d[2 + 1], 50.0 + 10.0 * (j - 1) as f64);
+            assert_eq!(st.d[m_rows], 0.5);
+            assert_eq!(st.cu[(m_rows, 0)], 1.0);
+            assert_eq!(st.cu[(m_rows + n, 0)], -1.0);
+        }
+        assert_eq!(lq.terminal.d.len(), m_rows);
+        assert_eq!(lq.terminal.d[3], 70.0);
+        // R = 2·diag(c).
+        assert_eq!(lq.stages[0].r_mat[(0, 0)], 2.0 * 0.05);
+        // Without a rate limit the expansion is the compact form's own.
+        let plain = HorizonProblem::build(
+            &p,
+            &x0,
+            &[flat(1.0, 2), flat(1.0, 2)],
+            &[flat(1.0, 2), flat(1.0, 2)],
+        )
+        .unwrap();
+        assert_eq!(plain.to_lq().stages[0].num_constraints(), 0);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 
 use std::time::Instant;
 
-use dspp_core::{Allocation, Dspp, DsppBuilder, HorizonProblem, StructuredHorizon};
-use dspp_solver::{IpmSettings, KktBackend};
+use dspp_core::{Allocation, Dspp, DsppBuilder, HorizonProblem};
+use dspp_solver::{solve_lq, solve_structured, IpmSettings};
+use dspp_telemetry::Recorder;
 
 use crate::{ExpResult, Figure};
 
@@ -77,10 +78,6 @@ fn median(mut samples: Vec<f64>) -> f64 {
 /// Propagates fixture-construction or solver failures.
 pub fn run() -> ExpResult<Figure> {
     let ipm = IpmSettings::fast();
-    let dense_ipm = IpmSettings {
-        kkt_backend: KktBackend::Dense,
-        ..IpmSettings::fast()
-    };
     let mut rows = Vec::new();
     let mut crossover_ratio: f64 = 0.0;
     for (dcs, locs) in SIZES {
@@ -94,24 +91,25 @@ pub fn run() -> ExpResult<Figure> {
             .map(|l| vec![problem.price(l, 0); HORIZON])
             .collect();
 
-        let sh = StructuredHorizon::build(&problem, &x0, &demand, &prices)?;
+        let horizon = HorizonProblem::build(&problem, &x0, &demand, &prices)?;
+        let slq = horizon.slq();
         let mut structured_ms = Vec::with_capacity(SOLVES_PER_CELL);
         let mut structured_sol = None;
         for _ in 0..SOLVES_PER_CELL {
             let start = Instant::now();
-            structured_sol = Some(sh.solve(&ipm)?);
+            structured_sol = Some(solve_structured(slq, &ipm, None, &Recorder::disabled())?);
             structured_ms.push(start.elapsed().as_secs_f64() * 1e3);
         }
         let structured_sol = structured_sol.expect("at least one solve");
         let structured_ms = median(structured_ms);
 
         let (dense_ms, dense_iters) = if arcs <= DENSE_ARC_LIMIT {
-            let hp = HorizonProblem::build(&problem, &x0, &demand, &prices)?;
+            let lq = slq.to_lq();
             let mut samples = Vec::with_capacity(SOLVES_PER_CELL);
             let mut dense_sol = None;
             for _ in 0..SOLVES_PER_CELL {
                 let start = Instant::now();
-                dense_sol = Some(hp.solve(&dense_ipm)?);
+                dense_sol = Some(solve_lq(&lq, &ipm)?);
                 samples.push(start.elapsed().as_secs_f64() * 1e3);
             }
             let dense_sol = dense_sol.expect("at least one solve");
@@ -196,14 +194,10 @@ mod tests {
             .map(|v| vec![1_600.0 + (v % 11) as f64; 4])
             .collect();
         let prices: Vec<Vec<f64>> = (0..4).map(|l| vec![problem.price(l, 0); 4]).collect();
-        let sh = StructuredHorizon::build(&problem, &x0, &demand, &prices).unwrap();
         let hp = HorizonProblem::build(&problem, &x0, &demand, &prices).unwrap();
-        let structured = sh.solve(&IpmSettings::fast()).unwrap();
-        let dense_ipm = IpmSettings {
-            kkt_backend: KktBackend::Dense,
-            ..IpmSettings::fast()
-        };
-        let dense = hp.solve(&dense_ipm).unwrap();
+        let ipm = IpmSettings::fast();
+        let structured = solve_structured(hp.slq(), &ipm, None, &Recorder::disabled()).unwrap();
+        let dense = solve_lq(&hp.slq().to_lq(), &ipm).unwrap();
         let scale = dense.objective.abs().max(1.0);
         assert!((dense.objective - structured.objective).abs() / scale < 1e-5);
     }

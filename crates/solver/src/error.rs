@@ -25,7 +25,7 @@ pub enum SolverError {
     /// constraint row whose violation never shrank). Unlike
     /// [`SolverError::MaxIterations`], this is a property of the *problem*,
     /// not of the iteration budget, and callers can react by re-solving a
-    /// relaxation (see `relax_lq`).
+    /// relaxation (see `relax_lq_slots`).
     Infeasible {
         /// Stage (period) index of the certified row; the terminal slot is
         /// reported as the horizon length.

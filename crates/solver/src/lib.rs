@@ -5,7 +5,7 @@
 //! control loop, and its multi-provider extension needs the *dual variables*
 //! of the data-center capacity constraints (Algorithm 2 of the paper). The
 //! Rust ecosystem has no mature QP solver that exposes all of this, so this
-//! crate implements two from scratch:
+//! crate implements them from scratch:
 //!
 //! * [`QpProblem`] / [`solve_qp`] — a dense primal–dual interior-point
 //!   method (Mehrotra predictor–corrector) for
@@ -19,13 +19,24 @@
 //!   recursion, so the per-iteration cost is `O(N·n³)` instead of
 //!   `O((N·n)³)` — the difference between milliseconds and minutes for the
 //!   horizon-30 MPC problems in the paper's Figure 6.
+//! * [`StructuredLq`] / [`solve_structured`] — the compact form of the
+//!   DSPP horizon (identity dynamics, diagonal input costs, sparse demand
+//!   and capacity rows), solved by the *same* interior-point loop with
+//!   Schur-condensed Newton steps whose cost is near-linear in arcs. This
+//!   is what makes 100 DCs × 1000 locations tractable;
+//!   [`StructuredLq::to_lq`] expands it for the Riccati backend.
 //!
-//! Both solvers return full primal *and* dual solutions; the game crate
+//! Both stage-structured entry points share one Mehrotra loop —
+//! stopping tests, regularization boosts, degraded acceptance and
+//! infeasibility certificates exist once — over two KKT backends that
+//! differ only in how they factor and solve each Newton system.
+//!
+//! All solvers return full primal *and* dual solutions; the game crate
 //! reads the capacity-row multipliers out of [`LqSolution::stage_duals`].
 //!
 //! [`flatten_lq`] converts a stage-structured problem into the equivalent
 //! dense QP; the test suites solve every LQ problem both ways and require
-//! the answers to agree, so the two independent implementations
+//! the answers to agree, so the independent implementations
 //! cross-validate each other.
 //!
 //! # Examples
@@ -68,14 +79,16 @@ mod structured;
 mod warm;
 
 pub use error::SolverError;
-pub use feasibility::{preflight_lq, FeasibilityReport, LqRowLayout, PeriodFeasibility};
+pub use feasibility::{FeasibilityReport, PeriodFeasibility};
 pub use flatten::flatten_lq;
 pub use ipm::{solve_qp, solve_qp_traced};
 pub use lq::{LqProblem, LqSolution, LqStage, LqTerminal};
-pub use lq_ipm::{solve_lq, solve_lq_traced, solve_lq_warm, solve_lq_warm_traced};
+pub use lq_ipm::{
+    solve_lq, solve_lq_fallback, solve_lq_traced, solve_lq_warm, solve_lq_warm_traced,
+    solve_structured, DenseFallback,
+};
 pub use qp::{QpProblem, QpSolution, SolveStatus};
-pub use relax::{relax_lq, relax_lq_slots, RelaxedLq, RelaxedSolution, SoftSpec};
-pub use settings::{IpmSettings, KktBackend};
-pub use skkt::{solve_structured, solve_structured_warm, solve_structured_warm_traced};
+pub use relax::{relax_lq_slots, RelaxedLq, RelaxedSolution, SoftSpec};
+pub use settings::IpmSettings;
 pub use structured::{CouplingRow, DiagRow, StructuredLq};
 pub use warm::WarmStartTracker;

@@ -1,10 +1,147 @@
-//! Interior-point outer loop for stage-structured LQ problems.
+//! The interior-point loop for stage-structured LQ problems.
+//!
+//! One Mehrotra predictor–corrector loop ([`drive`]) serves every LQ solve
+//! in the workspace. It owns the iterates, the step lengths, the stopping
+//! tests, the regularization-boost retry, degraded acceptance and the
+//! infeasibility classifier; the Newton systems themselves come from a
+//! [`KktSystem`] backend:
+//!
+//! * Riccati recursion on an [`LqProblem`] (`crate::riccati`), exact for
+//!   any stage-structured problem — [`solve_lq`] and friends;
+//! * Schur condensation on a compact [`StructuredLq`] (`crate::skkt`),
+//!   near-linear in arcs for DSPP-shaped problems — [`solve_structured`].
+//!
+//! Each backend keeps its own constraint products, residuals,
+//! factorization, Newton solve, error text and metric names, so both run
+//! their floating-point operations in the same order they always did.
 
-use crate::riccati::{RiccatiFactor, RiccatiStep};
-use crate::{IpmSettings, LqProblem, LqSolution, SolveStatus, SolverError};
-use dspp_linalg::{Matrix, Vector};
+use crate::riccati::RiccatiKkt;
+use crate::skkt::SchurKkt;
+use crate::{IpmSettings, LqProblem, LqSolution, SolveStatus, SolverError, StructuredLq};
+use dspp_linalg::Vector;
 use dspp_telemetry::{AttrValue, Recorder};
+use std::fmt;
 use std::time::Instant;
+
+/// One KKT backend of the interior-point loop [`drive`].
+///
+/// Slots `k = 0..=horizon()` carry the constraint rows: stage `k` for
+/// `k < horizon()`, the terminal at `k = horizon()`. Every trajectory
+/// argument is indexed the same way (`xs` has `horizon() + 1` states, `us`
+/// and `lams` one entry per stage).
+pub(crate) trait KktSystem {
+    /// `backend` attribute of the `solver.lq.solve` span.
+    const BACKEND: &'static str;
+    /// Histogram timing one factorization (including boost retries).
+    const FACTOR_SECONDS: &'static str;
+    /// Failure of one factorization attempt.
+    type FactorError: fmt::Display;
+
+    /// Stage count `N`.
+    fn horizon(&self) -> usize;
+    /// State dimension.
+    fn state_dim(&self) -> usize;
+    /// Input dimension of stage `k`.
+    fn input_dim(&self, k: usize) -> usize;
+    /// Constraint rows of slot `k`.
+    fn slot_rows(&self, k: usize) -> usize;
+    /// Right-hand side `d_k` of slot `k` (only called for non-empty slots).
+    fn rhs(&self, k: usize) -> &Vector;
+    /// States reached from the fixed `x_0` under `us`.
+    fn rollout(&self, us: &[Vector]) -> Vec<Vector>;
+    /// Data magnitude the stopping tests are relative to.
+    fn scale(&self) -> f64;
+    /// Objective of a trajectory.
+    fn objective(&self, xs: &[Vector], us: &[Vector]) -> f64;
+    /// Constraint left-hand side of slot `k` along a trajectory (or a
+    /// step direction), written into `out`.
+    fn slot_lhs(&self, k: usize, xs: &[Vector], us: &[Vector], out: &mut Vector);
+    /// Stationarity residuals of the Lagrangian in `x` (slots `1..=N`) and
+    /// `u` (stages `0..N`).
+    fn stationarity(
+        &self,
+        xs: &[Vector],
+        us: &[Vector],
+        lams: &[Vector],
+        zs: &[Vector],
+        r_xs: &mut [Vector],
+        r_us: &mut [Vector],
+    );
+    /// Factors the Newton system for barrier weights `ws = z/s` (per
+    /// slot) and regularization `reg`.
+    fn factor(
+        &mut self,
+        ws: &[Vector],
+        reg: f64,
+        telemetry: &Recorder,
+    ) -> Result<(), Self::FactorError>;
+    /// The error a factorization failure reports once regularization is
+    /// exhausted.
+    fn factor_failed(err: Self::FactorError) -> SolverError;
+    /// Solves the last factored Newton system for the trajectory step,
+    /// given the residuals and `ts = S⁻¹(Z r_ineq − r_c)` per slot.
+    fn newton(
+        &mut self,
+        ws: &[Vector],
+        ts: &[Vector],
+        r_xs: &[Vector],
+        r_us: &[Vector],
+        step: &mut Step,
+        telemetry: &Recorder,
+    );
+}
+
+/// The trajectory part of one Newton direction.
+#[derive(Debug, Clone)]
+pub(crate) struct Step {
+    /// State increments `Δx_0..Δx_N` (`Δx_0 = 0`).
+    pub dxs: Vec<Vector>,
+    /// Input increments `Δu_0..Δu_{N-1}`.
+    pub dus: Vec<Vector>,
+    /// Costate increments `Δλ_0..Δλ_{N-1}`.
+    pub dlams: Vec<Vector>,
+}
+
+impl Step {
+    /// Zero step for `N = input_dims.len()` stages of state dimension `n`.
+    pub fn new(n: usize, input_dims: impl ExactSizeIterator<Item = usize>) -> Self {
+        let nstages = input_dims.len();
+        Step {
+            dxs: (0..=nstages).map(|_| Vector::zeros(n)).collect(),
+            dus: input_dims.map(Vector::zeros).collect(),
+            dlams: (0..nstages).map(|_| Vector::zeros(n)).collect(),
+        }
+    }
+}
+
+/// Why a horizon large enough for [`solve_structured`] runs on the dense
+/// Riccati backend instead; see [`solve_lq_fallback`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DenseFallback {
+    /// A recovery solve: the relaxation's slack columns are not part of
+    /// the Schur system.
+    Recovery,
+    /// Reconfiguration rate limits: input rows are not part of the Schur
+    /// system.
+    RateLimit,
+}
+
+impl DenseFallback {
+    /// The `backend_reason` span attribute (`recovery` / `rate_limit`).
+    pub fn reason(self) -> &'static str {
+        match self {
+            DenseFallback::Recovery => "recovery",
+            DenseFallback::RateLimit => "rate_limit",
+        }
+    }
+
+    fn counter(self) -> &'static str {
+        match self {
+            DenseFallback::Recovery => "solver.lq.dense_fallback.recovery",
+            DenseFallback::RateLimit => "solver.lq.dense_fallback.rate_limit",
+        }
+    }
+}
 
 /// Solves a stage-structured LQ problem with a primal–dual interior-point
 /// method whose Newton steps are computed by a Riccati recursion.
@@ -78,7 +215,13 @@ pub fn solve_lq_warm(
     settings: &IpmSettings,
     warm_us: Option<&[Vector]>,
 ) -> Result<LqSolution, SolverError> {
-    solve_lq_warm_inner(problem, settings, warm_us, &Recorder::disabled())
+    drive(
+        RiccatiKkt::new(problem),
+        settings,
+        warm_us,
+        &Recorder::disabled(),
+        None,
+    )
 }
 
 /// [`solve_lq`] with metrics emitted to `telemetry`; see
@@ -108,14 +251,73 @@ pub fn solve_lq_warm_traced(
     telemetry: &Recorder,
 ) -> Result<LqSolution, SolverError> {
     trace_lq_solve(telemetry, warm_us.is_some(), || {
-        solve_lq_warm_inner(problem, settings, warm_us, telemetry)
+        drive(RiccatiKkt::new(problem), settings, warm_us, telemetry, None)
+    })
+}
+
+/// [`solve_lq_warm_traced`] for a horizon that would run on
+/// [`solve_structured`] but for `why`: additionally increments
+/// `solver.lq.dense_fallback.{recovery,rate_limit}` and tags the
+/// `solver.lq.solve` span with `backend_reason`, so the dense `O(W·n³)`
+/// solves at scale are counted rather than silent.
+///
+/// # Errors
+///
+/// As [`solve_lq_warm`].
+pub fn solve_lq_fallback(
+    problem: &LqProblem,
+    settings: &IpmSettings,
+    warm_us: Option<&[Vector]>,
+    telemetry: &Recorder,
+    why: DenseFallback,
+) -> Result<LqSolution, SolverError> {
+    telemetry.incr(why.counter(), 1);
+    trace_lq_solve(telemetry, warm_us.is_some(), || {
+        drive(
+            RiccatiKkt::new(problem),
+            settings,
+            warm_us,
+            telemetry,
+            Some(why.reason()),
+        )
+    })
+}
+
+/// Solves a compact [`StructuredLq`] with Schur-condensed Newton steps.
+///
+/// The same interior-point method as [`solve_lq`] on
+/// [`StructuredLq::to_lq`], but each Newton system is condensed onto
+/// per-arc tridiagonal chains plus a dense system over the capacity rows
+/// (see `DESIGN.md` §4.1), so the cost grows near-linearly in arcs and the
+/// dense expansion is never built. `warm_us` seeds the input sequence (`W`
+/// vectors of the arc dimension), as in [`solve_lq_warm`].
+///
+/// Emits the `solver.lq.*` catalogue of [`solve_lq_warm_traced`] with
+/// `schur_*` in place of the `riccati_*` timings, plus the
+/// `solver.lq.schur_factor` counter (one per successful factorization) and
+/// the `solver.lq.schur_block_size`, `solver.lq.schur_dense_dim` and
+/// `solver.lq.schur_fill` observations. Pass [`Recorder::disabled`] for
+/// none.
+///
+/// # Errors
+///
+/// As [`solve_lq_warm`]: invalid settings or guess, certified
+/// infeasibility, iteration exhaustion, or numerical failure.
+pub fn solve_structured(
+    slq: &StructuredLq,
+    settings: &IpmSettings,
+    warm_us: Option<&[Vector]>,
+    telemetry: &Recorder,
+) -> Result<LqSolution, SolverError> {
+    trace_lq_solve(telemetry, warm_us.is_some(), || {
+        drive(SchurKkt::new(slq), settings, warm_us, telemetry, None)
     })
 }
 
 /// Shared metrics wrapper for both KKT backends: counts the solve (and
 /// warm start), times it, and tallies the outcome status, so the
 /// `solver.lq.*` catalogue reads identically whichever backend ran.
-pub(crate) fn trace_lq_solve(
+fn trace_lq_solve(
     telemetry: &Recorder,
     warm: bool,
     solve: impl FnOnce() -> Result<LqSolution, SolverError>,
@@ -157,46 +359,43 @@ pub(crate) fn trace_lq_solve(
     result
 }
 
-fn solve_lq_warm_inner(
-    problem: &LqProblem,
+/// The Mehrotra predictor–corrector loop over any [`KktSystem`].
+///
+/// States are kept exactly dynamics-feasible (`xs` is always the rollout
+/// of `us` plus steps that satisfy the linearized dynamics), so only the
+/// inequality rows carry slack/dual pairs `(s, z)` per slot.
+fn drive<K: KktSystem>(
+    mut kkt: K,
     settings: &IpmSettings,
     warm_us: Option<&[Vector]>,
     telemetry: &Recorder,
+    backend_reason: Option<&'static str>,
 ) -> Result<LqSolution, SolverError> {
     settings.validate().map_err(SolverError::InvalidProblem)?;
-    let nstages = problem.horizon();
-    let n = problem.state_dim();
-
-    // Backend dispatch: large DSPP-shaped problems take the
-    // structure-exploiting Schur path; everything else (small instances,
-    // relaxed/recovery problems with slack columns, rate-limited inputs,
-    // general dynamics) keeps the dense Riccati path below.
-    if settings.kkt_backend == crate::KktBackend::Structured && n >= settings.structured_threshold {
-        if let Some(slq) = crate::StructuredLq::from_lq(problem) {
-            return crate::skkt::solve_structured_inner(&slq, settings, warm_us, telemetry);
-        }
-    }
+    let nstages = kkt.horizon();
+    let n = kkt.state_dim();
 
     let mut span = telemetry.tracer().span("solver.lq.solve");
     span.attr("horizon", nstages);
     span.attr("state_dim", n);
     span.attr("warm_start", warm_us.is_some());
-    span.attr("backend", "dense");
+    span.attr("backend", K::BACKEND);
+    if let Some(reason) = backend_reason {
+        span.attr("backend_reason", reason);
+    }
 
     // Iterates: inputs, states (always exactly dynamics-feasible), costates,
-    // and per-stage slack/dual pairs.
+    // and per-slot slack/dual pairs.
     let mut us: Vec<Vector> = match warm_us {
-        None => problem
-            .stages
-            .iter()
-            .map(|st| Vector::zeros(st.input_dim()))
+        None => (0..nstages)
+            .map(|k| Vector::zeros(kkt.input_dim(k)))
             .collect(),
         Some(guess) => {
             if guess.len() != nstages
                 || guess
                     .iter()
-                    .zip(&problem.stages)
-                    .any(|(g, st)| g.len() != st.input_dim())
+                    .enumerate()
+                    .any(|(k, g)| g.len() != kkt.input_dim(k))
             {
                 return Err(SolverError::InvalidProblem(
                     "warm-start guess does not match the problem's input dimensions".into(),
@@ -210,57 +409,30 @@ fn solve_lq_warm_inner(
             guess.to_vec()
         }
     };
-    let mut xs = problem.rollout(&us);
+    let mut xs = kkt.rollout(&us);
     let mut lams: Vec<Vector> = vec![Vector::zeros(n); nstages];
 
-    // Constraint layout per "slot" k = 0..=nstages: stage k for k < nstages,
-    // terminal at k = nstages.
-    let mcs: Vec<usize> = (0..=nstages)
-        .map(|k| {
-            if k < nstages {
-                problem.stages[k].num_constraints()
-            } else {
-                problem.terminal.d.len()
-            }
-        })
-        .collect();
+    let mcs: Vec<usize> = (0..=nstages).map(|k| kkt.slot_rows(k)).collect();
     let m_total: usize = mcs.iter().sum();
+    let slot_vecs = || -> Vec<Vector> { mcs.iter().map(|&m| Vector::zeros(m)).collect() };
 
     let margin = settings.init_margin;
-    let mut ss: Vec<Vector> = Vec::with_capacity(nstages + 1);
-    let mut zs: Vec<Vector> = Vec::with_capacity(nstages + 1);
+    let mut ss = slot_vecs();
+    let mut zs = slot_vecs();
     for k in 0..=nstages {
         if mcs[k] == 0 {
-            ss.push(Vector::zeros(0));
-            zs.push(Vector::zeros(0));
             continue;
         }
-        let lhs = if k < nstages {
-            let st = &problem.stages[k];
-            &st.cx.matvec(&xs[k]) + &st.cu.matvec(&us[k])
-        } else {
-            problem.terminal.cx.matvec(&xs[nstages])
-        };
-        let d = if k < nstages {
-            &problem.stages[k].d
-        } else {
-            &problem.terminal.d
-        };
-        ss.push((d - &lhs).map(|v| v.max(margin)));
-        zs.push(Vector::filled(mcs[k], margin));
+        let s = &mut ss[k];
+        kkt.slot_lhs(k, &xs, &us, s);
+        let d = kkt.rhs(k);
+        for i in 0..mcs[k] {
+            s[i] = (d[i] - s[i]).max(margin);
+        }
+        zs[k].fill(margin);
     }
 
-    // Problem scale for the stopping test.
-    let mut scale: f64 = 1.0;
-    for st in &problem.stages {
-        scale = scale
-            .max(st.q_vec.norm_inf())
-            .max(st.r_vec.norm_inf())
-            .max(st.d.norm_inf());
-    }
-    scale = scale
-        .max(problem.terminal.q_vec.norm_inf())
-        .max(problem.terminal.d.norm_inf());
+    let scale = kkt.scale();
 
     let mut best_gap = f64::INFINITY;
     // Exit-classifier trackers: the least-violated iterate seen (slot, row,
@@ -270,11 +442,11 @@ fn solve_lq_warm_inner(
     // slow to converge.
     let mut best_violation = (0usize, 0usize, f64::INFINITY, f64::INFINITY);
     let mut z_max = 0.0f64;
-    // Regularization is adaptive: a failed Riccati factorization (the
-    // barrier Hessian went ill-conditioned near the boundary) boosts it for
-    // the rest of the solve instead of aborting. The ceiling is deliberately
+    // Regularization is adaptive: a failed factorization (the barrier
+    // Hessian went ill-conditioned near the boundary) boosts it for the
+    // rest of the solve instead of aborting. The ceiling is deliberately
     // enormous (inertia-correction style): with barrier weights of 1e16 the
-    // backward recursion's subtraction can leave an indefinite P whose
+    // Riccati recursion's subtraction can leave an indefinite P whose
     // negative pivots are far beyond any "small" shift, and a heavily damped
     // step that keeps the iteration alive beats aborting a solve whose
     // primal iterate is already feasible.
@@ -282,39 +454,20 @@ fn solve_lq_warm_inner(
     let max_reg = settings.regularization.max(1e-12) * 1e20;
 
     // ------- preallocated workspace, reused every iteration -------
-    // Everything the loop body writes lives here (or in the iterates above),
-    // so steady-state iterations are allocation-free.
-    let slot_vecs = || -> Vec<Vector> { mcs.iter().map(|&m| Vector::zeros(m)).collect() };
-    let input_vecs = || -> Vec<Vector> {
-        problem
-            .stages
-            .iter()
-            .map(|st| Vector::zeros(st.input_dim()))
-            .collect()
-    };
-    let mut cons = slot_vecs(); // constraint-row scratch (lhs / CΔ products)
+    // Everything the loop body writes lives here (or in the iterates above
+    // and the backend), so steady-state iterations are allocation-free.
+    // The exits reuse the dead `r_ineqs` as constraint-row scratch.
     let mut r_ineqs = slot_vecs();
     let mut r_xs: Vec<Vector> = vec![Vector::zeros(n); nstages + 1];
-    let mut r_us = input_vecs();
+    let mut r_us: Vec<Vector> = (0..nstages)
+        .map(|k| Vector::zeros(kkt.input_dim(k)))
+        .collect();
     let mut ws = slot_vecs(); // barrier weights z/s
     let mut ts = slot_vecs();
     let mut r_cs = slot_vecs();
-    let mut q_mods: Vec<Matrix> = vec![Matrix::zeros(n, n); nstages + 1];
-    let mut r_mods: Vec<Matrix> = problem
-        .stages
-        .iter()
-        .map(|st| Matrix::zeros(st.input_dim(), st.input_dim()))
-        .collect();
-    let mut m_mods: Vec<Matrix> = problem
-        .stages
-        .iter()
-        .map(|st| Matrix::zeros(n, st.input_dim()))
-        .collect();
-    let mut q_hats: Vec<Vector> = vec![Vector::zeros(n); nstages + 1];
-    let mut r_hats = input_vecs();
-    let mut factor = RiccatiFactor::new(problem);
-    let mut step_aff = RiccatiStep::new(problem);
-    let mut step = RiccatiStep::new(problem);
+    let new_step = || Step::new(n, (0..nstages).map(|k| kkt.input_dim(k)));
+    let mut step_aff = new_step();
+    let mut step = new_step();
     let mut dss_aff = slot_vecs();
     let mut dzs_aff = slot_vecs();
     let mut dss = slot_vecs();
@@ -322,56 +475,27 @@ fn solve_lq_warm_inner(
 
     for iter in 0..settings.max_iterations {
         // ------- residuals -------
-        // r_ineq per slot.
+        // r_ineq = Cx + s − d per slot; on the way, locate the row whose
+        // violation Cx − d is largest relative to its right-hand side
+        // (the terminal slot reported as the horizon length).
+        let mut worst = (0usize, 0usize, 0.0f64, 0.0f64);
         for k in 0..=nstages {
             if mcs[k] == 0 {
                 continue;
             }
             let r = &mut r_ineqs[k];
-            let d = if k < nstages {
-                let st = &problem.stages[k];
-                st.cx.matvec_into(&xs[k], r);
-                st.cu.matvec_acc(1.0, &us[k], r);
-                &st.d
-            } else {
-                problem.terminal.cx.matvec_into(&xs[nstages], r);
-                &problem.terminal.d
-            };
+            kkt.slot_lhs(k, &xs, &us, r);
+            let d = kkt.rhs(k);
             for i in 0..mcs[k] {
+                let viol = r[i] - d[i];
+                let rel = viol / (1.0 + d[i].abs());
+                if rel > worst.3 {
+                    worst = (k, i, viol, rel);
+                }
                 r[i] += ss[k][i] - d[i];
             }
         }
-        // Stationarity residuals.
-        for k in 1..nstages {
-            let st = &problem.stages[k];
-            let r = &mut r_xs[k];
-            st.q_mat.matvec_into(&xs[k], r);
-            r.axpy(1.0, &st.q_vec);
-            if mcs[k] > 0 {
-                st.cx.matvec_t_acc(1.0, &zs[k], r);
-            }
-            st.a.matvec_t_acc(1.0, &lams[k], r);
-            r.axpy(-1.0, &lams[k - 1]);
-        }
-        {
-            let r = &mut r_xs[nstages];
-            problem.terminal.q_mat.matvec_into(&xs[nstages], r);
-            r.axpy(1.0, &problem.terminal.q_vec);
-            if mcs[nstages] > 0 {
-                problem.terminal.cx.matvec_t_acc(1.0, &zs[nstages], r);
-            }
-            r.axpy(-1.0, &lams[nstages - 1]);
-        }
-        for k in 0..nstages {
-            let st = &problem.stages[k];
-            let r = &mut r_us[k];
-            st.r_mat.matvec_into(&us[k], r);
-            r.axpy(1.0, &st.r_vec);
-            if mcs[k] > 0 {
-                st.cu.matvec_t_acc(1.0, &zs[k], r);
-            }
-            st.b.matvec_t_acc(1.0, &lams[k], r);
-        }
+        kkt.stationarity(&xs, &us, &lams, &zs, &mut r_xs, &mut r_us);
 
         let mut gap = 0.0;
         for k in 0..=nstages {
@@ -395,12 +519,11 @@ fn solve_lq_warm_inner(
         for r in &r_ineqs {
             ineq_norm = ineq_norm.max(r.norm_inf());
         }
-        let wr = worst_violation_row(problem, &xs, &us, &mut cons);
-        if wr.3 < best_violation.3 {
-            best_violation = wr;
+        if worst.3 < best_violation.3 {
+            best_violation = worst;
         }
         z_max = z_max.max(zs.iter().map(Vector::norm_inf).fold(0.0f64, f64::max));
-        let objective = problem.objective(&xs, &us);
+        let objective = kkt.objective(&xs, &us);
         if span.is_enabled() {
             span.event_with(
                 "solver.lq.iteration",
@@ -431,38 +554,15 @@ fn solve_lq_warm_inner(
             });
         }
 
-        // ------- barrier-modified Hessians and factorization -------
+        // ------- barrier weights and factorization -------
         for k in 0..=nstages {
             for i in 0..mcs[k] {
                 ws[k][i] = zs[k][i] / ss[k][i];
             }
         }
-        // q_mods[0] stays zero: x_0 is fixed, its Hessian never enters the
-        // step. Constraint-free stages keep their zero m_mods likewise.
-        for k in 1..=nstages {
-            let (q_mat, cx) = if k < nstages {
-                (&problem.stages[k].q_mat, &problem.stages[k].cx)
-            } else {
-                (&problem.terminal.q_mat, &problem.terminal.cx)
-            };
-            let q = &mut q_mods[k];
-            q.copy_from(q_mat);
-            if mcs[k] > 0 {
-                cx.weighted_gram_acc(&ws[k], q);
-            }
-        }
-        for k in 0..nstages {
-            let st = &problem.stages[k];
-            let r = &mut r_mods[k];
-            r.copy_from(&st.r_mat);
-            if mcs[k] > 0 {
-                st.cu.weighted_gram_acc(&ws[k], r);
-                st.cx.weighted_product_into(&ws[k], &st.cu, &mut m_mods[k]);
-            }
-        }
         let t_factor = telemetry.is_enabled().then(Instant::now);
         loop {
-            match factor.refactor(problem, &q_mods, &r_mods, &m_mods, reg) {
+            match kkt.factor(&ws, reg, telemetry) {
                 Ok(()) => break,
                 Err(e) if reg < max_reg => {
                     reg = (reg * 100.0).max(1e-12);
@@ -488,11 +588,22 @@ fn solve_lq_warm_inner(
                     // fail. Otherwise, multipliers diverging against a
                     // never-satisfied constraint row are the
                     // infeasibility exit, not a numerical one.
-                    if let Some(sol) =
-                        accept_degraded(problem, settings, scale, &xs, &us, &ss, &zs, iter)
-                    {
-                        telemetry
-                            .observe("solver.lq.kkt_residual", problem.max_violation(&xs, &us));
+                    if let Some(sol) = accept_degraded(
+                        &kkt,
+                        &mcs,
+                        &mut r_ineqs,
+                        settings,
+                        scale,
+                        &xs,
+                        &us,
+                        &ss,
+                        &zs,
+                        iter,
+                    ) {
+                        telemetry.observe(
+                            "solver.lq.kkt_residual",
+                            max_violation(&kkt, &mcs, &xs, &us, &mut r_ineqs),
+                        );
                         span.attr("status", "almost_optimal");
                         span.attr("iterations", iter);
                         return Ok(sol);
@@ -501,12 +612,12 @@ fn solve_lq_warm_inner(
                         span.attr("status", "infeasible");
                         return Err(err);
                     }
-                    return Err(e);
+                    return Err(K::factor_failed(e));
                 }
             }
         }
         if let Some(t) = t_factor {
-            telemetry.observe_duration("solver.lq.riccati_factor_seconds", t.elapsed());
+            telemetry.observe_duration(K::FACTOR_SECONDS, t.elapsed());
         }
 
         // ------- predictor -------
@@ -514,19 +625,16 @@ fn solve_lq_warm_inner(
             ss[k].hadamard_into(&zs[k], &mut r_cs[k]);
         }
         newton_step(
-            problem,
+            &mut kkt,
             &mcs,
+            &ws,
             &ss,
             &zs,
             &r_ineqs,
             &r_xs,
             &r_us,
             &r_cs,
-            &mut factor,
             &mut ts,
-            &mut q_hats,
-            &mut r_hats,
-            &mut cons,
             &mut step_aff,
             &mut dss_aff,
             &mut dzs_aff,
@@ -557,23 +665,8 @@ fn solve_lq_warm_inner(
                 }
             }
             newton_step(
-                problem,
-                &mcs,
-                &ss,
-                &zs,
-                &r_ineqs,
-                &r_xs,
-                &r_us,
-                &r_cs,
-                &mut factor,
-                &mut ts,
-                &mut q_hats,
-                &mut r_hats,
-                &mut cons,
-                &mut step,
-                &mut dss,
-                &mut dzs,
-                telemetry,
+                &mut kkt, &mcs, &ws, &ss, &zs, &r_ineqs, &r_xs, &r_us, &r_cs, &mut ts, &mut step,
+                &mut dss, &mut dzs, telemetry,
             );
         }
         let (fstep, fdss, fdzs) = if use_corrector {
@@ -618,8 +711,22 @@ fn solve_lq_warm_inner(
             // A collapsed step on an already-converged primal iterate is
             // the same degenerate-multiplier breakdown as a failed
             // factorization: take the loose acceptance.
-            if let Some(sol) = accept_degraded(problem, settings, scale, &xs, &us, &ss, &zs, iter) {
-                telemetry.observe("solver.lq.kkt_residual", problem.max_violation(&xs, &us));
+            if let Some(sol) = accept_degraded(
+                &kkt,
+                &mcs,
+                &mut r_ineqs,
+                settings,
+                scale,
+                &xs,
+                &us,
+                &ss,
+                &zs,
+                iter,
+            ) {
+                telemetry.observe(
+                    "solver.lq.kkt_residual",
+                    max_violation(&kkt, &mcs, &xs, &us, &mut r_ineqs),
+                );
                 span.attr("status", "almost_optimal");
                 span.attr("iterations", iter);
                 return Ok(sol);
@@ -638,8 +745,8 @@ fn solve_lq_warm_inner(
         }
     }
 
-    // Degraded acceptance, mirroring the dense solver.
-    let objective = problem.objective(&xs, &us);
+    // Degraded acceptance, mirroring the dense QP solver.
+    let objective = kkt.objective(&xs, &us);
     let mut gap = 0.0;
     for k in 0..=nstages {
         gap += ss[k].dot(&zs[k]);
@@ -650,7 +757,7 @@ fn solve_lq_warm_inner(
         0.0
     };
     let loose = 1e4;
-    let violation = problem.max_violation(&xs, &us);
+    let violation = max_violation(&kkt, &mcs, &xs, &us, &mut r_ineqs);
     if violation <= loose * settings.tol_feasibility * scale
         && mu <= loose * settings.tol_gap * (1.0 + objective.abs())
     {
@@ -694,8 +801,10 @@ fn solve_lq_warm_inner(
 /// [`SolveStatus::AlmostOptimal`], or `None` when the iterate genuinely
 /// has not converged.
 #[allow(clippy::too_many_arguments)]
-fn accept_degraded(
-    problem: &LqProblem,
+fn accept_degraded<K: KktSystem>(
+    kkt: &K,
+    mcs: &[usize],
+    scratch: &mut [Vector],
     settings: &IpmSettings,
     scale: f64,
     xs: &[Vector],
@@ -704,7 +813,7 @@ fn accept_degraded(
     zs: &[Vector],
     iterations: usize,
 ) -> Option<LqSolution> {
-    let objective = problem.objective(xs, us);
+    let objective = kkt.objective(xs, us);
     let mut gap = 0.0;
     let mut m_total = 0usize;
     for (s, z) in ss.iter().zip(zs) {
@@ -717,7 +826,7 @@ fn accept_degraded(
         0.0
     };
     let loose = 1e4;
-    let violation = problem.max_violation(xs, us);
+    let violation = max_violation(kkt, mcs, xs, us, scratch);
     // The gap test is relative to the problem's scale as well as the
     // objective: breakdowns near a tiny optimal value (a relaxation whose
     // slacks are almost free) would otherwise fail an objective-relative
@@ -754,7 +863,7 @@ fn accept_degraded(
 /// stationarity residual negligible, so they approximately satisfy
 /// `Cᵀy ⊥ dynamics, y ≥ 0` while pricing the violated row reported in the
 /// error.
-pub(crate) fn classify_infeasibility(
+fn classify_infeasibility(
     best_violation: (usize, usize, f64, f64),
     settings: &IpmSettings,
     diverged: bool,
@@ -771,122 +880,71 @@ pub(crate) fn classify_infeasibility(
     })
 }
 
-/// Builds the modified gradients for a given complementarity residual
-/// `r_cs` and solves the Newton system into preallocated outputs
-/// (`step`, `dss`, `dzs`); `ts`, `q_hats`, `r_hats`, and `cons` are
-/// per-slot scratch, so the call allocates nothing.
+/// Solves the Newton system for a complementarity residual `r_cs` into
+/// preallocated outputs (`step`, `dss`, `dzs`); `ts` is per-slot scratch,
+/// so the call allocates nothing.
 #[allow(clippy::too_many_arguments)]
-fn newton_step(
-    problem: &LqProblem,
+fn newton_step<K: KktSystem>(
+    kkt: &mut K,
     mcs: &[usize],
+    ws: &[Vector],
     ss: &[Vector],
     zs: &[Vector],
     r_ineqs: &[Vector],
     r_xs: &[Vector],
     r_us: &[Vector],
     r_cs: &[Vector],
-    factor: &mut RiccatiFactor,
     ts: &mut [Vector],
-    q_hats: &mut [Vector],
-    r_hats: &mut [Vector],
-    cons: &mut [Vector],
-    step: &mut RiccatiStep,
+    step: &mut Step,
     dss: &mut [Vector],
     dzs: &mut [Vector],
     telemetry: &Recorder,
 ) {
-    let nstages = problem.horizon();
     // t_k = S⁻¹(Z r_ineq − r_c) per slot.
-    for k in 0..=nstages {
+    for k in 0..mcs.len() {
         for i in 0..mcs[k] {
             ts[k][i] = (zs[k][i] * r_ineqs[k][i] - r_cs[k][i]) / ss[k][i];
         }
     }
-    // q_hats[0] stays zero (x_0 fixed).
-    for k in 1..=nstages {
-        let cx = if k < nstages {
-            &problem.stages[k].cx
-        } else {
-            &problem.terminal.cx
-        };
-        let qh = &mut q_hats[k];
-        qh.copy_from(&r_xs[k]);
-        if mcs[k] > 0 {
-            cx.matvec_t_acc(1.0, &ts[k], qh);
-        }
-    }
-    for k in 0..nstages {
-        let rh = &mut r_hats[k];
-        rh.copy_from(&r_us[k]);
-        if mcs[k] > 0 {
-            problem.stages[k].cu.matvec_t_acc(1.0, &ts[k], rh);
-        }
-    }
-    telemetry.time("solver.lq.riccati_solve_seconds", || {
-        factor.solve_into(problem, q_hats, r_hats, step)
-    });
-    // Recover Δs, Δz per slot.
-    for k in 0..=nstages {
+    kkt.newton(ws, ts, r_xs, r_us, step, telemetry);
+    // Recover Δs = −r_ineq − CΔ, Δz = (−r_c − ZΔs)/S per slot.
+    for k in 0..mcs.len() {
         if mcs[k] == 0 {
             continue;
         }
-        let cdx = &mut cons[k];
-        if k < nstages {
-            let st = &problem.stages[k];
-            st.cx.matvec_into(&step.dxs[k], cdx);
-            st.cu.matvec_acc(1.0, &step.dus[k], cdx);
-        } else {
-            problem.terminal.cx.matvec_into(&step.dxs[nstages], cdx);
-        }
+        kkt.slot_lhs(k, &step.dxs, &step.dus, &mut dss[k]);
         for i in 0..mcs[k] {
-            dss[k][i] = -r_ineqs[k][i] - cdx[i];
+            dss[k][i] = -r_ineqs[k][i] - dss[k][i];
             dzs[k][i] = (-r_cs[k][i] - zs[k][i] * dss[k][i]) / ss[k][i];
         }
     }
 }
 
-/// Locates the most-violated constraint row along the trajectory, measured
-/// relative to each row's right-hand side; returns
-/// `(slot, row, violation, violation / (1 + |d_row|))` with the terminal
-/// slot reported as the horizon length. `cons` is per-slot scratch for the
-/// constraint left-hand sides.
-fn worst_violation_row(
-    problem: &LqProblem,
+/// Largest constraint violation along a trajectory (zero when feasible);
+/// `scratch` is per-slot row storage.
+fn max_violation<K: KktSystem>(
+    kkt: &K,
+    mcs: &[usize],
     xs: &[Vector],
     us: &[Vector],
-    cons: &mut [Vector],
-) -> (usize, usize, f64, f64) {
-    let mut worst = (0usize, 0usize, 0.0f64, 0.0f64);
-    for (k, st) in problem.stages.iter().enumerate() {
-        if st.num_constraints() == 0 {
+    scratch: &mut [Vector],
+) -> f64 {
+    let mut v: f64 = 0.0;
+    for k in 0..mcs.len() {
+        if mcs[k] == 0 {
             continue;
         }
-        let lhs = &mut cons[k];
-        st.cx.matvec_into(&xs[k], lhs);
-        st.cu.matvec_acc(1.0, &us[k], lhs);
-        for i in 0..st.d.len() {
-            let viol = lhs[i] - st.d[i];
-            let rel = viol / (1.0 + st.d[i].abs());
-            if rel > worst.3 {
-                worst = (k, i, viol, rel);
-            }
+        let lhs = &mut scratch[k];
+        kkt.slot_lhs(k, xs, us, lhs);
+        let d = kkt.rhs(k);
+        for i in 0..mcs[k] {
+            v = v.max(lhs[i] - d[i]);
         }
     }
-    if !problem.terminal.d.is_empty() {
-        let lhs = &mut cons[problem.horizon()];
-        problem.terminal.cx.matvec_into(&xs[problem.horizon()], lhs);
-        for i in 0..problem.terminal.d.len() {
-            let viol = lhs[i] - problem.terminal.d[i];
-            let rel = viol / (1.0 + problem.terminal.d[i].abs());
-            if rel > worst.3 {
-                worst = (problem.horizon(), i, viol, rel);
-            }
-        }
-    }
-    worst
+    v.max(0.0)
 }
 
-pub(crate) fn max_step_multi(vs: &[Vector], dvs: &[Vector]) -> f64 {
+fn max_step_multi(vs: &[Vector], dvs: &[Vector]) -> f64 {
     let mut alpha: f64 = 1.0;
     for (v, dv) in vs.iter().zip(dvs) {
         for i in 0..v.len() {
@@ -902,6 +960,7 @@ pub(crate) fn max_step_multi(vs: &[Vector], dvs: &[Vector]) -> f64 {
 mod tests {
     use super::*;
     use crate::{relax_lq_slots, LqStage, LqTerminal, SoftSpec};
+    use dspp_linalg::Matrix;
     use proptest::prelude::*;
 
     fn settings() -> IpmSettings {

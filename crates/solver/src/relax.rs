@@ -2,9 +2,9 @@
 //!
 //! When the strict horizon QP is infeasible (demand exceeding capacity,
 //! or a game quota shrunk below the current allocation), the controller
-//! still has to produce *some* placement. [`relax_lq`] builds the standard
-//! soft-constraint relaxation: each designated "soft" constraint row `i`
-//! of every constrained slot gains a slack variable `σ_i ≥ 0`,
+//! still has to produce *some* placement. [`relax_lq_slots`] builds the
+//! standard soft-constraint relaxation: each designated "soft" constraint
+//! row `i` of every softened slot gains a slack variable `σ_i ≥ 0`,
 //!
 //! ```text
 //! (Cx·x + Cu·u)_i − σ_i ≤ d_i,      σ_i ≥ 0,
@@ -131,31 +131,23 @@ fn slack_cost(soft: usize, spec: &SoftSpec) -> (Matrix, Vector) {
     (r_mat, r_vec)
 }
 
-/// Builds the slack relaxation of `problem` under `spec`.
+/// Builds the slack relaxation of `problem` under `spec`, softening only
+/// the slots where `soften` is `true`.
 ///
-/// Slots with no constraints are left alone; every other slot must have
-/// at least `spec.penalties.len()` rows (its leading rows are softened).
-///
-/// # Errors
-///
-/// Returns [`SolverError::InvalidProblem`] when the spec is degenerate
-/// (no soft rows, non-positive or non-finite penalties) or a constrained
-/// slot is shorter than the spec.
-pub fn relax_lq(problem: &LqProblem, spec: &SoftSpec) -> Result<RelaxedLq, SolverError> {
-    relax_masked(problem, spec, None)
-}
-
-/// Like [`relax_lq`], but softening only the slots where `soften` is
-/// `true`. `soften[k]` addresses stage `k`; the terminal slot is last, at
-/// index `problem.horizon()`. Slots left strict keep all their rows hard —
+/// `soften[k]` addresses stage `k`; the terminal slot is last, at index
+/// `problem.horizon()`. Slots with no constraints are left alone; every
+/// other softened slot must have at least `spec.penalties.len()` rows (its
+/// leading rows are softened). Slots left strict keep all their rows hard —
 /// the DSPP horizon builder's rate-limit rows on stage 0, for instance,
 /// must never gain slack, because `x_0` is fixed and a softened change
 /// budget would let the recovery solve "teleport" capacity.
 ///
 /// # Errors
 ///
-/// As [`relax_lq`], plus [`SolverError::InvalidProblem`] when the mask
-/// length is not `problem.horizon() + 1`.
+/// Returns [`SolverError::InvalidProblem`] when the spec is degenerate
+/// (no soft rows, non-positive or non-finite penalties), a softened slot
+/// is shorter than the spec, or the mask length is not
+/// `problem.horizon() + 1`.
 pub fn relax_lq_slots(
     problem: &LqProblem,
     spec: &SoftSpec,
@@ -168,14 +160,6 @@ pub fn relax_lq_slots(
             problem.horizon() + 1
         )));
     }
-    relax_masked(problem, spec, Some(soften))
-}
-
-fn relax_masked(
-    problem: &LqProblem,
-    spec: &SoftSpec,
-    mask: Option<&[bool]>,
-) -> Result<RelaxedLq, SolverError> {
     let soft_rows = spec.penalties.len();
     if soft_rows == 0 {
         return Err(SolverError::InvalidProblem(
@@ -203,7 +187,7 @@ fn relax_masked(
         let mc = st.num_constraints();
         orig_input_dims.push(m);
         orig_row_counts.push(mc);
-        if mc == 0 || !mask.is_none_or(|m| m[k]) {
+        if mc == 0 || !soften[k] {
             soft_counts.push(0);
             stages.push(st.clone());
             continue;
@@ -246,7 +230,7 @@ fn relax_masked(
     let term = &problem.terminal;
     let term_rows = term.d.len();
     orig_row_counts.push(term_rows);
-    let (terminal, extra_stage) = if term_rows == 0 || !mask.is_none_or(|m| m[nstages]) {
+    let (terminal, extra_stage) = if term_rows == 0 || !soften[nstages] {
         soft_counts.push(0);
         (term.clone(), false)
     } else {
@@ -383,6 +367,11 @@ mod tests {
     use super::*;
     use crate::{solve_lq, solve_lq_warm, IpmSettings};
 
+    /// Softens every slot.
+    fn relax_all(problem: &LqProblem, spec: &SoftSpec) -> Result<RelaxedLq, SolverError> {
+        relax_lq_slots(problem, spec, &vec![true; problem.horizon() + 1])
+    }
+
     /// One DC of capacity `cap`, one location, arc coefficient `a = 0.5`:
     /// demand row, capacity row, non-negativity, across 2 stages + terminal.
     fn placement_problem(cap: f64, demands: [f64; 3]) -> LqProblem {
@@ -416,7 +405,7 @@ mod tests {
     fn feasible_problem_keeps_slack_at_zero_and_matches_strict() {
         let problem = placement_problem(20.0, [8.0, 12.0, 10.0]);
         let strict = solve_lq(&problem, &IpmSettings::default()).unwrap();
-        let relaxed = relax_lq(&problem, &spec()).unwrap();
+        let relaxed = relax_all(&problem, &spec()).unwrap();
         let sol = solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap();
         let split = relaxed.split_solution(&problem, &sol);
         assert!(split.max_slack() < 1e-5, "slack = {}", split.max_slack());
@@ -437,7 +426,7 @@ mod tests {
         // 15 servers of demand-rate shortfall, i.e. slack 30 demand units.
         let problem = placement_problem(10.0, [8.0, 50.0, 8.0]);
         assert!(solve_lq(&problem, &IpmSettings::default()).is_err());
-        let relaxed = relax_lq(&problem, &spec()).unwrap();
+        let relaxed = relax_all(&problem, &spec()).unwrap();
         let sol = solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap();
         let split = relaxed.split_solution(&problem, &sol);
         // Slot 2 (stage 2) is the overloaded period; its slack must cover
@@ -457,7 +446,7 @@ mod tests {
     fn terminal_constraints_are_softened_via_the_extra_stage() {
         // Only the terminal period is overloaded.
         let problem = placement_problem(10.0, [8.0, 8.0, 50.0]);
-        let relaxed = relax_lq(&problem, &spec()).unwrap();
+        let relaxed = relax_all(&problem, &spec()).unwrap();
         assert_eq!(relaxed.problem.horizon(), problem.horizon() + 1);
         let sol = solve_lq(&relaxed.problem, &IpmSettings::default()).unwrap();
         let split = relaxed.split_solution(&problem, &sol);
@@ -470,7 +459,7 @@ mod tests {
     #[test]
     fn warm_start_extension_matches_cold() {
         let problem = placement_problem(10.0, [8.0, 50.0, 8.0]);
-        let relaxed = relax_lq(&problem, &spec()).unwrap();
+        let relaxed = relax_all(&problem, &spec()).unwrap();
         let warm_guess = vec![Vector::from(vec![4.0]); problem.horizon()];
         let warm_us = relaxed.extend_warm_start(&warm_guess);
         assert_eq!(warm_us.len(), relaxed.problem.horizon());
@@ -508,10 +497,10 @@ mod tests {
     #[test]
     fn degenerate_specs_are_rejected() {
         let problem = placement_problem(10.0, [8.0, 8.0, 8.0]);
-        assert!(relax_lq(&problem, &SoftSpec::uniform(0, 1.0, 1e-4)).is_err());
-        assert!(relax_lq(&problem, &SoftSpec::uniform(1, -1.0, 1e-4)).is_err());
-        assert!(relax_lq(&problem, &SoftSpec::uniform(1, 1.0, 0.0)).is_err());
+        assert!(relax_all(&problem, &SoftSpec::uniform(0, 1.0, 1e-4)).is_err());
+        assert!(relax_all(&problem, &SoftSpec::uniform(1, -1.0, 1e-4)).is_err());
+        assert!(relax_all(&problem, &SoftSpec::uniform(1, 1.0, 0.0)).is_err());
         // More soft rows than the slots carry.
-        assert!(relax_lq(&problem, &SoftSpec::uniform(4, 1.0, 1e-4)).is_err());
+        assert!(relax_all(&problem, &SoftSpec::uniform(4, 1.0, 1e-4)).is_err());
     }
 }

@@ -33,8 +33,10 @@
 //! Δλ_k = P_{k+1}Δx_{k+1} + p_{k+1}
 //! ```
 
+use crate::lq_ipm::{KktSystem, Step};
 use crate::{LqProblem, SolverError};
 use dspp_linalg::{Cholesky, Matrix, Vector};
+use dspp_telemetry::Recorder;
 
 /// A factored Newton/LQ subproblem with reusable workspace; see the module
 /// docs.
@@ -63,35 +65,6 @@ pub(crate) struct RiccatiFactor {
     p_vecs: Vec<Vector>,
     /// Affine feedforward terms `κ_k`.
     kappas: Vec<Vector>,
-}
-
-/// Solution of one Newton subproblem right-hand side.
-#[derive(Debug, Clone)]
-pub(crate) struct RiccatiStep {
-    /// State increments `Δx_0..Δx_N` (`Δx_0 = 0`).
-    pub dxs: Vec<Vector>,
-    /// Input increments `Δu_0..Δu_{N-1}`.
-    pub dus: Vec<Vector>,
-    /// Costate increments `Δλ_0..Δλ_{N-1}`.
-    pub dlams: Vec<Vector>,
-}
-
-impl RiccatiStep {
-    /// Zero-initialized step with the problem's stage shapes, reusable across
-    /// [`RiccatiFactor::solve_into`] calls.
-    pub fn new(problem: &LqProblem) -> Self {
-        let n = problem.state_dim();
-        let nstages = problem.horizon();
-        RiccatiStep {
-            dxs: (0..=nstages).map(|_| Vector::zeros(n)).collect(),
-            dus: problem
-                .stages
-                .iter()
-                .map(|st| Vector::zeros(st.input_dim()))
-                .collect(),
-            dlams: (0..nstages).map(|_| Vector::zeros(n)).collect(),
-        }
-    }
 }
 
 impl RiccatiFactor {
@@ -231,13 +204,11 @@ impl RiccatiFactor {
     /// Allocating convenience wrapper over [`RiccatiFactor::solve_into`];
     /// production callers use `solve_into` with a reused step.
     #[cfg(test)]
-    pub fn solve(
-        &mut self,
-        problem: &LqProblem,
-        q_hats: &[Vector],
-        r_hats: &[Vector],
-    ) -> RiccatiStep {
-        let mut step = RiccatiStep::new(problem);
+    pub fn solve(&mut self, problem: &LqProblem, q_hats: &[Vector], r_hats: &[Vector]) -> Step {
+        let mut step = Step::new(
+            problem.state_dim(),
+            problem.stages.iter().map(|st| st.input_dim()),
+        );
         self.solve_into(problem, q_hats, r_hats, &mut step);
         step
     }
@@ -253,7 +224,7 @@ impl RiccatiFactor {
         problem: &LqProblem,
         q_hats: &[Vector],
         r_hats: &[Vector],
-        step: &mut RiccatiStep,
+        step: &mut Step,
     ) {
         let nstages = problem.horizon();
         debug_assert_eq!(q_hats.len(), nstages + 1);
@@ -291,6 +262,230 @@ impl RiccatiFactor {
             self.ps[k + 1].matvec_into(dxn, dlam);
             dlam.axpy(1.0, &self.p_vecs[k + 1]);
         }
+    }
+}
+
+/// The Riccati [`KktSystem`]: exact Newton steps for any [`LqProblem`] at
+/// `O(N·n³)` per factorization, with the barrier weights folded into the
+/// stage Hessians `Q̃ = Q + CxᵀWCx`, `R̃ = R + CuᵀWCu`, `M̃ = CxᵀWCu`.
+pub(crate) struct RiccatiKkt<'a> {
+    problem: &'a LqProblem,
+    factor: RiccatiFactor,
+    q_mods: Vec<Matrix>,
+    r_mods: Vec<Matrix>,
+    m_mods: Vec<Matrix>,
+    /// Modified gradients `q̂_k`, `r̂_k` of the current right-hand side.
+    q_hats: Vec<Vector>,
+    r_hats: Vec<Vector>,
+}
+
+impl<'a> RiccatiKkt<'a> {
+    /// Allocates every per-stage workspace the interior-point loop needs.
+    pub fn new(problem: &'a LqProblem) -> Self {
+        let n = problem.state_dim();
+        let nstages = problem.horizon();
+        RiccatiKkt {
+            problem,
+            factor: RiccatiFactor::new(problem),
+            q_mods: vec![Matrix::zeros(n, n); nstages + 1],
+            r_mods: problem
+                .stages
+                .iter()
+                .map(|st| Matrix::zeros(st.input_dim(), st.input_dim()))
+                .collect(),
+            m_mods: problem
+                .stages
+                .iter()
+                .map(|st| Matrix::zeros(n, st.input_dim()))
+                .collect(),
+            q_hats: vec![Vector::zeros(n); nstages + 1],
+            r_hats: problem
+                .stages
+                .iter()
+                .map(|st| Vector::zeros(st.input_dim()))
+                .collect(),
+        }
+    }
+}
+
+/// State rows `Cx` of slot `k` (the terminal at `k = N`).
+fn slot_cx(problem: &LqProblem, k: usize) -> &Matrix {
+    if k < problem.horizon() {
+        &problem.stages[k].cx
+    } else {
+        &problem.terminal.cx
+    }
+}
+
+impl KktSystem for RiccatiKkt<'_> {
+    const BACKEND: &'static str = "dense";
+    const FACTOR_SECONDS: &'static str = "solver.lq.riccati_factor_seconds";
+    type FactorError = SolverError;
+
+    fn horizon(&self) -> usize {
+        self.problem.horizon()
+    }
+
+    fn state_dim(&self) -> usize {
+        self.problem.state_dim()
+    }
+
+    fn input_dim(&self, k: usize) -> usize {
+        self.problem.stages[k].input_dim()
+    }
+
+    fn slot_rows(&self, k: usize) -> usize {
+        self.rhs(k).len()
+    }
+
+    fn rhs(&self, k: usize) -> &Vector {
+        if k < self.problem.horizon() {
+            &self.problem.stages[k].d
+        } else {
+            &self.problem.terminal.d
+        }
+    }
+
+    fn rollout(&self, us: &[Vector]) -> Vec<Vector> {
+        self.problem.rollout(us)
+    }
+
+    fn scale(&self) -> f64 {
+        let mut scale: f64 = 1.0;
+        for st in &self.problem.stages {
+            scale = scale
+                .max(st.q_vec.norm_inf())
+                .max(st.r_vec.norm_inf())
+                .max(st.d.norm_inf());
+        }
+        scale
+            .max(self.problem.terminal.q_vec.norm_inf())
+            .max(self.problem.terminal.d.norm_inf())
+    }
+
+    fn objective(&self, xs: &[Vector], us: &[Vector]) -> f64 {
+        self.problem.objective(xs, us)
+    }
+
+    fn slot_lhs(&self, k: usize, xs: &[Vector], us: &[Vector], out: &mut Vector) {
+        slot_cx(self.problem, k).matvec_into(&xs[k], out);
+        if k < self.problem.horizon() {
+            self.problem.stages[k].cu.matvec_acc(1.0, &us[k], out);
+        }
+    }
+
+    fn stationarity(
+        &self,
+        xs: &[Vector],
+        us: &[Vector],
+        lams: &[Vector],
+        zs: &[Vector],
+        r_xs: &mut [Vector],
+        r_us: &mut [Vector],
+    ) {
+        let problem = self.problem;
+        let nstages = problem.horizon();
+        for k in 1..nstages {
+            let st = &problem.stages[k];
+            let r = &mut r_xs[k];
+            st.q_mat.matvec_into(&xs[k], r);
+            r.axpy(1.0, &st.q_vec);
+            if st.num_constraints() > 0 {
+                st.cx.matvec_t_acc(1.0, &zs[k], r);
+            }
+            st.a.matvec_t_acc(1.0, &lams[k], r);
+            r.axpy(-1.0, &lams[k - 1]);
+        }
+        let r = &mut r_xs[nstages];
+        problem.terminal.q_mat.matvec_into(&xs[nstages], r);
+        r.axpy(1.0, &problem.terminal.q_vec);
+        if !problem.terminal.d.is_empty() {
+            problem.terminal.cx.matvec_t_acc(1.0, &zs[nstages], r);
+        }
+        r.axpy(-1.0, &lams[nstages - 1]);
+        for k in 0..nstages {
+            let st = &problem.stages[k];
+            let r = &mut r_us[k];
+            st.r_mat.matvec_into(&us[k], r);
+            r.axpy(1.0, &st.r_vec);
+            if st.num_constraints() > 0 {
+                st.cu.matvec_t_acc(1.0, &zs[k], r);
+            }
+            st.b.matvec_t_acc(1.0, &lams[k], r);
+        }
+    }
+
+    #[allow(clippy::needless_range_loop)] // `k` is a stage index into several arrays
+    fn factor(
+        &mut self,
+        ws: &[Vector],
+        reg: f64,
+        _telemetry: &Recorder,
+    ) -> Result<(), SolverError> {
+        let problem = self.problem;
+        let nstages = problem.horizon();
+        // q_mods[0] stays zero: x_0 is fixed, its Hessian never enters the
+        // step. Constraint-free stages keep their zero m_mods likewise.
+        for k in 1..=nstages {
+            let q_mat = if k < nstages {
+                &problem.stages[k].q_mat
+            } else {
+                &problem.terminal.q_mat
+            };
+            let q = &mut self.q_mods[k];
+            q.copy_from(q_mat);
+            if !ws[k].is_empty() {
+                slot_cx(problem, k).weighted_gram_acc(&ws[k], q);
+            }
+        }
+        for k in 0..nstages {
+            let st = &problem.stages[k];
+            let r = &mut self.r_mods[k];
+            r.copy_from(&st.r_mat);
+            if st.num_constraints() > 0 {
+                st.cu.weighted_gram_acc(&ws[k], r);
+                st.cx
+                    .weighted_product_into(&ws[k], &st.cu, &mut self.m_mods[k]);
+            }
+        }
+        self.factor
+            .refactor(problem, &self.q_mods, &self.r_mods, &self.m_mods, reg)
+    }
+
+    fn factor_failed(err: SolverError) -> SolverError {
+        err
+    }
+
+    fn newton(
+        &mut self,
+        _ws: &[Vector],
+        ts: &[Vector],
+        r_xs: &[Vector],
+        r_us: &[Vector],
+        step: &mut Step,
+        telemetry: &Recorder,
+    ) {
+        let problem = self.problem;
+        let nstages = problem.horizon();
+        // q_hats[0] stays zero (x_0 fixed).
+        for k in 1..=nstages {
+            let qh = &mut self.q_hats[k];
+            qh.copy_from(&r_xs[k]);
+            if !ts[k].is_empty() {
+                slot_cx(problem, k).matvec_t_acc(1.0, &ts[k], qh);
+            }
+        }
+        for k in 0..nstages {
+            let rh = &mut self.r_hats[k];
+            rh.copy_from(&r_us[k]);
+            if !ts[k].is_empty() {
+                problem.stages[k].cu.matvec_t_acc(1.0, &ts[k], rh);
+            }
+        }
+        let (factor, q_hats, r_hats) = (&mut self.factor, &self.q_hats, &self.r_hats);
+        telemetry.time("solver.lq.riccati_solve_seconds", || {
+            factor.solve_into(problem, q_hats, r_hats, step)
+        });
     }
 }
 

@@ -30,21 +30,15 @@
 //! [`dspp_linalg::SchurComplement`]. Per-iteration cost is `O(n·W³ +
 //! (W·L)³)` for `L` data centers: near-linear in arcs.
 //!
-//! The outer loop here mirrors `lq_ipm` exactly — same Mehrotra
-//! predictor–corrector, same stopping rules, same regularization-boost
-//! retry, same degraded-acceptance and infeasibility classification — so
-//! the two backends are interchangeable. [`solve_lq`](crate::solve_lq)
-//! dispatches here automatically (see
-//! [`KktBackend`](crate::KktBackend)); the entry points in this module
-//! exist for callers that build a [`StructuredLq`] directly because the
-//! dense expansion would not fit in memory.
+//! This module is only the factorization and the Newton solve: the
+//! interior-point iteration around it is the shared loop in `lq_ipm`,
+//! reached through [`solve_structured`](crate::solve_structured).
 
-use crate::lq_ipm::{classify_infeasibility, max_step_multi, trace_lq_solve};
+use crate::lq_ipm::{KktSystem, Step};
 use crate::structured::StructuredLq;
-use crate::{IpmSettings, LqSolution, SolveStatus, SolverError};
+use crate::SolverError;
 use dspp_linalg::{BlockDiag, LinalgError, Matrix, SchurComplement, Vector};
-use dspp_telemetry::{AttrValue, Recorder};
-use std::time::Instant;
+use dspp_telemetry::Recorder;
 
 fn zero_mat(m: &mut Matrix) {
     for i in 0..m.rows() {
@@ -63,10 +57,12 @@ struct APair {
     k: Matrix,
 }
 
-/// Preallocated factorization workspace for the condensed structured KKT
-/// system; rebuilt by [`SchurKkt::refactor`] every interior-point
-/// iteration without allocating.
-struct SchurKkt {
+/// The Schur [`KktSystem`] over a [`StructuredLq`]: preallocated
+/// factorization workspace for the condensed system, rebuilt by
+/// [`SchurKkt::refactor`] every interior-point iteration without
+/// allocating.
+pub(crate) struct SchurKkt<'a> {
+    slq: &'a StructuredLq,
     n: usize,
     w: usize,
     /// Per arc: the single-arc rows touching it (row index, coefficient).
@@ -91,10 +87,17 @@ struct SchurKkt {
     corr: Vector,
     rhs_copy: Vector,
     resid: Vector,
+    /// Modified state gradients `q̂_k` and the condensed right-hand side.
+    q_hats: Vec<Vector>,
+    y: Vector,
+    /// Regularization of the last successful factorization.
+    reg: f64,
+    /// Whether the one-off size observations were emitted.
+    sizes_reported: bool,
 }
 
-impl SchurKkt {
-    fn new(slq: &StructuredLq) -> Self {
+impl<'a> SchurKkt<'a> {
+    pub fn new(slq: &'a StructuredLq) -> Self {
         let n = slq.n;
         let w = slq.w;
         let mut diag_by_arc: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
@@ -127,6 +130,7 @@ impl SchurKkt {
         let na = slq.group_a.len();
         let nb = slq.group_b.len();
         SchurKkt {
+            slq,
             n,
             w,
             diag_by_arc,
@@ -144,6 +148,10 @@ impl SchurKkt {
             corr: Vector::zeros(n * w),
             rhs_copy: Vector::zeros(n * w),
             resid: Vector::zeros(n * w),
+            q_hats: vec![Vector::zeros(n); w + 1],
+            y: Vector::zeros(n * w),
+            reg: 0.0,
+            sizes_reported: false,
         }
     }
 
@@ -154,7 +162,8 @@ impl SchurKkt {
 
     /// Rebuilds and refactors the whole condensed system for the current
     /// barrier weights `ws` (per slot, slot 0 empty) and regularization.
-    fn refactor(&mut self, slq: &StructuredLq, ws: &[Vector], reg: f64) -> Result<(), LinalgError> {
+    fn refactor(&mut self, ws: &[Vector], reg: f64) -> Result<(), LinalgError> {
+        let slq = self.slq;
         let w = self.w;
         // Per-arc tridiagonal chains: T_e = Σ_k R̃_k (y_{k+1}−y_k)² plus
         // the diagonal barrier terms of the single-arc rows.
@@ -241,7 +250,8 @@ impl SchurKkt {
     /// Solves `H y = b` in place (`y` in arc-major layout: arc `e`'s
     /// chain occupies `[e·W, (e+1)·W)`), using the last successful
     /// [`SchurKkt::refactor`].
-    fn solve_in_place(&mut self, slq: &StructuredLq, y: &mut Vector) {
+    fn solve_in_place(&mut self, y: &mut Vector) {
+        let slq = self.slq;
         let w = self.w;
         // g = T⁻¹ b.
         self.t_blocks.solve_in_place(y);
@@ -318,7 +328,8 @@ impl SchurKkt {
     /// matrix [`SchurKkt::refactor`] factored, including regularization).
     /// The chains `t_mats` already carry the single-arc barrier rows, so
     /// only the coupling rows are applied explicitly.
-    fn apply_h(&self, slq: &StructuredLq, ws: &[Vector], v: &Vector, out: &mut Vector) {
+    fn apply_h(&self, ws: &[Vector], v: &Vector, out: &mut Vector) {
+        let slq = self.slq;
         let w = self.w;
         for e in 0..self.n {
             let t = &self.t_mats[e];
@@ -351,302 +362,80 @@ impl SchurKkt {
     /// enough digits that the recovered duals diverge. Refinement is two
     /// extra block solves — negligible next to the refactorization — and
     /// keeps the step residual at roundoff level throughout.
-    fn solve_refined(&mut self, slq: &StructuredLq, ws: &[Vector], y: &mut Vector) {
+    fn solve_refined(&mut self, ws: &[Vector], y: &mut Vector) {
         self.rhs_copy.copy_from(y);
-        self.solve_in_place(slq, y);
+        self.solve_in_place(y);
         let mut resid = std::mem::replace(&mut self.resid, Vector::zeros(0));
         for _ in 0..2 {
-            self.apply_h(slq, ws, y, &mut resid);
+            self.apply_h(ws, y, &mut resid);
             for i in 0..resid.len() {
                 resid[i] = self.rhs_copy[i] - resid[i];
             }
-            self.solve_in_place(slq, &mut resid);
+            self.solve_in_place(&mut resid);
             y.axpy(1.0, &resid);
         }
         self.resid = resid;
     }
 }
 
-/// Solves a [`StructuredLq`] with the structure-exploiting interior-point
-/// method; cold start.
-///
-/// This is the direct entry point for problems built compactly because
-/// their dense expansion would not fit in memory (the 100×-scale
-/// benchmark instances). For problems that already exist as an
-/// [`LqProblem`](crate::LqProblem), prefer [`solve_lq`](crate::solve_lq)
-/// — it dispatches here automatically when the backend, threshold, and
-/// structure detection all agree, and falls back to the dense path
-/// otherwise.
-///
-/// # Errors
-///
-/// As [`solve_lq`](crate::solve_lq): invalid settings, certified
-/// infeasibility, iteration exhaustion, or numerical failure.
-pub fn solve_structured(
-    slq: &StructuredLq,
-    settings: &IpmSettings,
-) -> Result<LqSolution, SolverError> {
-    solve_structured_warm(slq, settings, None)
-}
+impl KktSystem for SchurKkt<'_> {
+    const BACKEND: &'static str = "structured";
+    const FACTOR_SECONDS: &'static str = "solver.lq.schur_factor_seconds";
+    type FactorError = LinalgError;
 
-/// [`solve_structured`] with a primal warm-start guess for the input
-/// sequence (`W` vectors of the arc dimension), as
-/// [`solve_lq_warm`](crate::solve_lq_warm).
-///
-/// # Errors
-///
-/// As [`solve_structured`], plus
-/// [`SolverError::InvalidProblem`] for a wrong-shaped or non-finite guess.
-pub fn solve_structured_warm(
-    slq: &StructuredLq,
-    settings: &IpmSettings,
-    warm_us: Option<&[Vector]>,
-) -> Result<LqSolution, SolverError> {
-    solve_structured_inner(slq, settings, warm_us, &Recorder::disabled())
-}
-
-/// [`solve_structured_warm`] with metrics emitted to `telemetry`.
-///
-/// Emits the same `solver.lq.*` catalogue as
-/// [`solve_lq_warm_traced`](crate::solve_lq_warm_traced), plus the
-/// structured-path extras: the `solver.lq.schur_factor` counter (one per
-/// successful factorization) and the `solver.lq.schur_block_size`,
-/// `solver.lq.schur_dense_dim`, and `solver.lq.schur_fill` observations.
-///
-/// # Errors
-///
-/// As [`solve_structured_warm`].
-pub fn solve_structured_warm_traced(
-    slq: &StructuredLq,
-    settings: &IpmSettings,
-    warm_us: Option<&[Vector]>,
-    telemetry: &Recorder,
-) -> Result<LqSolution, SolverError> {
-    trace_lq_solve(telemetry, warm_us.is_some(), || {
-        solve_structured_inner(slq, settings, warm_us, telemetry)
-    })
-}
-
-/// Loose-tolerance acceptance for the breakdown exits, mirroring the
-/// dense path's `accept_degraded`.
-#[allow(clippy::too_many_arguments)]
-fn accept_degraded(
-    slq: &StructuredLq,
-    settings: &IpmSettings,
-    scale: f64,
-    xs: &[Vector],
-    us: &[Vector],
-    ss: &[Vector],
-    zs: &[Vector],
-    iterations: usize,
-    scratch: &mut Vector,
-) -> Option<LqSolution> {
-    let objective = slq.objective(xs, us);
-    let mut gap = 0.0;
-    let mut m_total = 0usize;
-    for (s, z) in ss.iter().zip(zs) {
-        gap += s.dot(z);
-        m_total += s.len();
+    fn horizon(&self) -> usize {
+        self.w
     }
-    let mu = if m_total > 0 {
-        gap / m_total as f64
-    } else {
-        0.0
-    };
-    let loose = 1e4;
-    let violation = slq.max_violation(xs, scratch);
-    if violation <= loose * settings.tol_feasibility * scale
-        && mu <= loose * settings.tol_gap * (1.0 + objective.abs()).max(scale)
-    {
-        Some(LqSolution {
-            xs: xs.to_vec(),
-            us: us.to_vec(),
-            stage_duals: zs.to_vec(),
-            objective,
-            iterations,
-            status: SolveStatus::AlmostOptimal,
-        })
-    } else {
-        None
-    }
-}
 
-/// One condensed Newton solve: builds the modified right-hand side from
-/// the current residuals and complementarity target `r_cs`, solves
-/// `H y = b`, and recovers `Δx/Δu/Δλ/Δs/Δz`. All outputs and scratch are
-/// preallocated by the caller.
-#[allow(clippy::too_many_arguments)]
-fn newton_step(
-    slq: &StructuredLq,
-    kkt: &mut SchurKkt,
-    reg: f64,
-    ws: &[Vector],
-    ss: &[Vector],
-    zs: &[Vector],
-    r_ineqs: &[Vector],
-    r_xs: &[Vector],
-    r_us: &[Vector],
-    r_cs: &[Vector],
-    ts: &mut [Vector],
-    q_hats: &mut [Vector],
-    y: &mut Vector,
-    cons: &mut Vector,
-    dxs: &mut [Vector],
-    dus: &mut [Vector],
-    dlams: &mut [Vector],
-    dss: &mut [Vector],
-    dzs: &mut [Vector],
-    telemetry: &Recorder,
-) {
-    let w = slq.w;
-    let n = slq.n;
-    let m = slq.m_rows;
-    // t_k = S⁻¹(Z r_ineq − r_c) per slot.
-    for k in 1..=w {
-        for i in 0..m {
-            ts[k][i] = (zs[k][i] * r_ineqs[k][i] - r_cs[k][i]) / ss[k][i];
+    fn state_dim(&self) -> usize {
+        self.n
+    }
+
+    fn input_dim(&self, _k: usize) -> usize {
+        self.n
+    }
+
+    /// Slot 0 (the fixed `x_0`) carries no rows; slots `1..=W` carry the
+    /// shared `m_rows` each.
+    fn slot_rows(&self, k: usize) -> usize {
+        if k == 0 {
+            0
+        } else {
+            self.slq.m_rows
         }
     }
-    // q̂_k = r_x,k + Cᵀ t_k  (r̂_k is just r_u,k: no input rows).
-    for k in 1..=w {
-        let qh = &mut q_hats[k];
-        qh.copy_from(&r_xs[k]);
-        slq.row_t_acc(&ts[k], qh);
-    }
-    // Condensed RHS, arc-major: b_k = −q̂_k + r̂_k − r̂_{k−1} (r̂_W ≡ 0).
-    for e in 0..n {
-        for k in 1..=w {
-            let mut b = -q_hats[k][e] - r_us[k - 1][e];
-            if k < w {
-                b += r_us[k][e];
-            }
-            y[e * w + k - 1] = b;
-        }
-    }
-    telemetry.time("solver.lq.schur_solve_seconds", || {
-        kkt.solve_refined(slq, ws, y);
-    });
-    // Recover the trajectory step: Δx_0 = 0, Δu_k = Δx_{k+1} − Δx_k,
-    // Δλ_k = −r̂_k − R̃_k Δu_k.
-    dxs[0].fill(0.0);
-    for k in 1..=w {
-        for e in 0..n {
-            dxs[k][e] = y[e * w + k - 1];
-        }
-    }
-    for k in 0..w {
-        for e in 0..n {
-            let du = dxs[k + 1][e] - dxs[k][e];
-            dus[k][e] = du;
-            dlams[k][e] = -r_us[k][e] - (slq.r_diags[k][e] + reg) * du;
-        }
-    }
-    // Δs = −r_ineq − CΔx, Δz = (−r_c − ZΔs)/S per slot.
-    for k in 1..=w {
-        slq.row_lhs_into(&dxs[k], cons);
-        for i in 0..m {
-            dss[k][i] = -r_ineqs[k][i] - cons[i];
-            dzs[k][i] = (-r_cs[k][i] - zs[k][i] * dss[k][i]) / ss[k][i];
-        }
-    }
-}
 
-pub(crate) fn solve_structured_inner(
-    slq: &StructuredLq,
-    settings: &IpmSettings,
-    warm_us: Option<&[Vector]>,
-    telemetry: &Recorder,
-) -> Result<LqSolution, SolverError> {
-    settings.validate().map_err(SolverError::InvalidProblem)?;
-    let w = slq.w;
-    let n = slq.n;
-    let m = slq.m_rows;
-    let m_total = m * w;
-
-    let mut span = telemetry.tracer().span("solver.lq.solve");
-    span.attr("horizon", w);
-    span.attr("state_dim", n);
-    span.attr("warm_start", warm_us.is_some());
-    span.attr("backend", "structured");
-
-    let mut us: Vec<Vector> = match warm_us {
-        None => vec![Vector::zeros(n); w],
-        Some(guess) => {
-            if guess.len() != w || guess.iter().any(|g| g.len() != n) {
-                return Err(SolverError::InvalidProblem(
-                    "warm-start guess does not match the problem's input dimensions".into(),
-                ));
-            }
-            if guess.iter().any(|g| !g.is_finite()) {
-                return Err(SolverError::InvalidProblem(
-                    "warm-start guess contains non-finite values".into(),
-                ));
-            }
-            guess.to_vec()
-        }
-    };
-    let mut xs = slq.rollout(&us);
-    let mut lams: Vec<Vector> = vec![Vector::zeros(n); w];
-
-    // Slot layout mirrors the dense path: slot 0 (the fixed x_0) carries
-    // no constraints; slots 1..=W carry the shared m rows each.
-    let margin = settings.init_margin;
-    let slot_vecs = || -> Vec<Vector> {
-        (0..=w)
-            .map(|k| Vector::zeros(if k == 0 { 0 } else { m }))
-            .collect()
-    };
-    let mut cons = Vector::zeros(m);
-    let mut ss = slot_vecs();
-    let mut zs = slot_vecs();
-    for k in 1..=w {
-        slq.row_lhs_into(&xs[k], &mut cons);
-        for i in 0..m {
-            ss[k][i] = (slq.ds[k - 1][i] - cons[i]).max(margin);
-        }
-        zs[k].fill(margin);
+    fn rhs(&self, k: usize) -> &Vector {
+        &self.slq.ds[k - 1]
     }
 
-    let scale = slq.scale();
+    fn rollout(&self, us: &[Vector]) -> Vec<Vector> {
+        self.slq.rollout(us)
+    }
 
-    let mut best_gap = f64::INFINITY;
-    let mut best_violation = (0usize, 0usize, f64::INFINITY, f64::INFINITY);
-    let mut z_max = 0.0f64;
-    let mut reg = settings.regularization;
-    let max_reg = settings.regularization.max(1e-12) * 1e20;
+    fn scale(&self) -> f64 {
+        self.slq.scale()
+    }
 
-    // ------- preallocated workspace, reused every iteration -------
-    let mut r_ineqs = slot_vecs();
-    let mut r_xs: Vec<Vector> = vec![Vector::zeros(n); w + 1];
-    let mut r_us: Vec<Vector> = vec![Vector::zeros(n); w];
-    let mut ws = slot_vecs();
-    let mut ts = slot_vecs();
-    let mut r_cs = slot_vecs();
-    let mut q_hats: Vec<Vector> = vec![Vector::zeros(n); w + 1];
-    let mut y = Vector::zeros(n * w);
-    let state_vecs = || -> Vec<Vector> { vec![Vector::zeros(n); w + 1] };
-    let input_vecs = || -> Vec<Vector> { vec![Vector::zeros(n); w] };
-    let mut dxs_aff = state_vecs();
-    let mut dus_aff = input_vecs();
-    let mut dlams_aff = input_vecs();
-    let mut dss_aff = slot_vecs();
-    let mut dzs_aff = slot_vecs();
-    let mut dxs = state_vecs();
-    let mut dus = input_vecs();
-    let mut dlams = input_vecs();
-    let mut dss = slot_vecs();
-    let mut dzs = slot_vecs();
-    let mut kkt = SchurKkt::new(slq);
-    let mut sizes_reported = false;
+    fn objective(&self, xs: &[Vector], us: &[Vector]) -> f64 {
+        self.slq.objective(xs, us)
+    }
 
-    for iter in 0..settings.max_iterations {
-        // ------- residuals -------
-        for k in 1..=w {
-            slq.row_lhs_into(&xs[k], &mut r_ineqs[k]);
-            for i in 0..m {
-                r_ineqs[k][i] += ss[k][i] - slq.ds[k - 1][i];
-            }
-        }
+    fn slot_lhs(&self, k: usize, xs: &[Vector], _us: &[Vector], out: &mut Vector) {
+        self.slq.row_lhs_into(&xs[k], out);
+    }
+
+    fn stationarity(
+        &self,
+        _xs: &[Vector],
+        us: &[Vector],
+        lams: &[Vector],
+        zs: &[Vector],
+        r_xs: &mut [Vector],
+        r_us: &mut [Vector],
+    ) {
+        let slq = self.slq;
+        let w = self.w;
         // Stationarity in x: q_k + Cᵀz_k + λ_k − λ_{k−1} (A = I, Q = 0);
         // terminal drops the λ_k term.
         for k in 1..=w {
@@ -661,305 +450,88 @@ pub(crate) fn solve_structured_inner(
         // Stationarity in u: R_k u_k + r_k + λ_k (B = I, no input rows).
         for k in 0..w {
             let r = &mut r_us[k];
-            for e in 0..n {
+            for e in 0..self.n {
                 r[e] = slq.r_diags[k][e] * us[k][e] + slq.r_vecs[k][e] + lams[k][e];
             }
         }
-
-        let mut gap = 0.0;
-        for k in 1..=w {
-            gap += ss[k].dot(&zs[k]);
-        }
-        let mu = if m_total > 0 {
-            gap / m_total as f64
-        } else {
-            0.0
-        };
-        best_gap = best_gap.min(mu);
-
-        let mut stat_norm: f64 = 0.0;
-        for r in r_xs.iter().skip(1) {
-            stat_norm = stat_norm.max(r.norm_inf());
-        }
-        for r in &r_us {
-            stat_norm = stat_norm.max(r.norm_inf());
-        }
-        let mut ineq_norm: f64 = 0.0;
-        for r in &r_ineqs {
-            ineq_norm = ineq_norm.max(r.norm_inf());
-        }
-        let wr = slq.worst_violation_row(&xs, &mut cons);
-        if wr.3 < best_violation.3 {
-            best_violation = wr;
-        }
-        z_max = z_max.max(zs.iter().map(Vector::norm_inf).fold(0.0f64, f64::max));
-        let objective = slq.objective(&xs, &us);
-        if span.is_enabled() {
-            span.event_with(
-                "solver.lq.iteration",
-                [
-                    ("iter", AttrValue::UInt(iter as u64)),
-                    ("kkt_stat_norm", AttrValue::Float(stat_norm)),
-                    ("kkt_ineq_norm", AttrValue::Float(ineq_norm)),
-                    ("mu", AttrValue::Float(mu)),
-                    ("objective", AttrValue::Float(objective)),
-                ],
-            );
-        }
-        let feas_ok = stat_norm <= settings.tol_feasibility * scale
-            && ineq_norm <= settings.tol_feasibility * scale;
-        let gap_ok = mu <= settings.tol_gap * (1.0 + objective.abs());
-        if feas_ok && gap_ok {
-            telemetry.observe("solver.lq.kkt_residual", stat_norm.max(ineq_norm));
-            span.attr("status", "optimal");
-            span.attr("iterations", iter);
-            span.attr("objective", objective);
-            return Ok(LqSolution {
-                xs,
-                us,
-                stage_duals: zs,
-                objective,
-                iterations: iter,
-                status: SolveStatus::Optimal,
-            });
-        }
-
-        // ------- barrier weights and structured factorization -------
-        for k in 1..=w {
-            for i in 0..m {
-                ws[k][i] = zs[k][i] / ss[k][i];
-            }
-        }
-        let t_factor = telemetry.is_enabled().then(Instant::now);
-        loop {
-            match kkt.refactor(slq, &ws, reg) {
-                Ok(()) => {
-                    telemetry.incr("solver.lq.schur_factor", 1);
-                    if !sizes_reported && telemetry.is_enabled() {
-                        sizes_reported = true;
-                        telemetry.observe("solver.lq.schur_block_size", w as f64);
-                        telemetry.observe("solver.lq.schur_dense_dim", kkt.dense_dim() as f64);
-                        telemetry.observe("solver.lq.schur_fill", kkt.s_cap.fill_ratio());
-                    }
-                    break;
-                }
-                Err(e) if reg < max_reg => {
-                    reg = (reg * 100.0).max(1e-12);
-                    telemetry.incr("solver.lq.reg_boosts", 1);
-                    if span.is_enabled() {
-                        span.event_with(
-                            "solver.lq.reg_boost",
-                            [
-                                ("iter", AttrValue::UInt(iter as u64)),
-                                ("regularization", AttrValue::Float(reg)),
-                                ("cause", AttrValue::from(e.to_string())),
-                            ],
-                        );
-                    }
-                }
-                Err(e) => {
-                    // Same breakdown triage as the dense path: accept a
-                    // converged primal, certify infeasibility, or report
-                    // the numerical failure.
-                    if let Some(sol) =
-                        accept_degraded(slq, settings, scale, &xs, &us, &ss, &zs, iter, &mut cons)
-                    {
-                        telemetry
-                            .observe("solver.lq.kkt_residual", slq.max_violation(&xs, &mut cons));
-                        span.attr("status", "almost_optimal");
-                        span.attr("iterations", iter);
-                        return Ok(sol);
-                    }
-                    if let Some(err) = classify_infeasibility(best_violation, settings, true) {
-                        span.attr("status", "infeasible");
-                        return Err(err);
-                    }
-                    return Err(SolverError::NumericalFailure(format!(
-                        "structured KKT factorization failed: {e}"
-                    )));
-                }
-            }
-        }
-        if let Some(t) = t_factor {
-            telemetry.observe_duration("solver.lq.schur_factor_seconds", t.elapsed());
-        }
-
-        // ------- predictor -------
-        for k in 1..=w {
-            ss[k].hadamard_into(&zs[k], &mut r_cs[k]);
-        }
-        newton_step(
-            slq,
-            &mut kkt,
-            reg,
-            &ws,
-            &ss,
-            &zs,
-            &r_ineqs,
-            &r_xs,
-            &r_us,
-            &r_cs,
-            &mut ts,
-            &mut q_hats,
-            &mut y,
-            &mut cons,
-            &mut dxs_aff,
-            &mut dus_aff,
-            &mut dlams_aff,
-            &mut dss_aff,
-            &mut dzs_aff,
-            telemetry,
-        );
-        let alpha_p_aff = max_step_multi(&ss, &dss_aff);
-        let alpha_d_aff = max_step_multi(&zs, &dzs_aff);
-        let sigma = if m_total > 0 && mu > 0.0 {
-            let mut mu_aff = 0.0;
-            for k in 1..=w {
-                for i in 0..m {
-                    mu_aff += (ss[k][i] + alpha_p_aff * dss_aff[k][i])
-                        * (zs[k][i] + alpha_d_aff * dzs_aff[k][i]);
-                }
-            }
-            mu_aff /= m_total as f64;
-            ((mu_aff / mu).max(0.0)).powi(3).min(1.0)
-        } else {
-            0.0
-        };
-
-        // ------- corrector -------
-        let use_corrector = m_total > 0;
-        if use_corrector {
-            for k in 1..=w {
-                for i in 0..m {
-                    r_cs[k][i] = ss[k][i] * zs[k][i] + dss_aff[k][i] * dzs_aff[k][i] - sigma * mu;
-                }
-            }
-            newton_step(
-                slq,
-                &mut kkt,
-                reg,
-                &ws,
-                &ss,
-                &zs,
-                &r_ineqs,
-                &r_xs,
-                &r_us,
-                &r_cs,
-                &mut ts,
-                &mut q_hats,
-                &mut y,
-                &mut cons,
-                &mut dxs,
-                &mut dus,
-                &mut dlams,
-                &mut dss,
-                &mut dzs,
-                telemetry,
-            );
-        }
-        let (fdxs, fdus, fdlams, fdss, fdzs) = if use_corrector {
-            (&dxs, &dus, &dlams, &dss, &dzs)
-        } else {
-            (&dxs_aff, &dus_aff, &dlams_aff, &dss_aff, &dzs_aff)
-        };
-
-        let tau = settings.step_fraction;
-        let alpha_p = (tau * max_step_multi(&ss, fdss)).min(1.0);
-        let alpha_d = (tau * max_step_multi(&zs, fdzs)).min(1.0);
-
-        for k in 0..=w {
-            xs[k].axpy(alpha_p, &fdxs[k]);
-            ss[k].axpy(alpha_p, &fdss[k]);
-            zs[k].axpy(alpha_d, &fdzs[k]);
-            if k < w {
-                us[k].axpy(alpha_p, &fdus[k]);
-                lams[k].axpy(alpha_d, &fdlams[k]);
-            }
-        }
-
-        let finite = xs.iter().all(Vector::is_finite)
-            && us.iter().all(Vector::is_finite)
-            && ss.iter().all(Vector::is_finite)
-            && zs.iter().all(Vector::is_finite)
-            && lams.iter().all(Vector::is_finite);
-        if !finite {
-            if let Some(err) = classify_infeasibility(best_violation, settings, true) {
-                span.attr("status", "infeasible");
-                return Err(err);
-            }
-            span.attr("status", "numerical_failure");
-            return Err(SolverError::NumericalFailure(
-                "iterates became non-finite".into(),
-            ));
-        }
-        if m_total > 0 && alpha_p < 1e-13 && alpha_d < 1e-13 {
-            if let Some(sol) =
-                accept_degraded(slq, settings, scale, &xs, &us, &ss, &zs, iter, &mut cons)
-            {
-                telemetry.observe("solver.lq.kkt_residual", slq.max_violation(&xs, &mut cons));
-                span.attr("status", "almost_optimal");
-                span.attr("iterations", iter);
-                return Ok(sol);
-            }
-            if let Some(err) = classify_infeasibility(best_violation, settings, true) {
-                span.attr("status", "infeasible");
-                return Err(err);
-            }
-            span.attr("status", "numerical_failure");
-            return Err(SolverError::NumericalFailure(format!(
-                "step length collapsed at iteration {iter} (gap {mu:.3e}); problem is likely infeasible"
-            )));
-        }
     }
 
-    // Degraded acceptance after iteration exhaustion, then the exit
-    // classifier — both mirroring the dense path.
-    let objective = slq.objective(&xs, &us);
-    let mut gap = 0.0;
-    for k in 1..=w {
-        gap += ss[k].dot(&zs[k]);
+    fn factor(&mut self, ws: &[Vector], reg: f64, telemetry: &Recorder) -> Result<(), LinalgError> {
+        self.refactor(ws, reg)?;
+        self.reg = reg;
+        telemetry.incr("solver.lq.schur_factor", 1);
+        if !self.sizes_reported && telemetry.is_enabled() {
+            self.sizes_reported = true;
+            telemetry.observe("solver.lq.schur_block_size", self.w as f64);
+            telemetry.observe("solver.lq.schur_dense_dim", self.dense_dim() as f64);
+            telemetry.observe("solver.lq.schur_fill", self.s_cap.fill_ratio());
+        }
+        Ok(())
     }
-    let mu = if m_total > 0 {
-        gap / m_total as f64
-    } else {
-        0.0
-    };
-    let loose = 1e4;
-    let violation = slq.max_violation(&xs, &mut cons);
-    if violation <= loose * settings.tol_feasibility * scale
-        && mu <= loose * settings.tol_gap * (1.0 + objective.abs())
-    {
-        telemetry.observe("solver.lq.kkt_residual", violation.max(mu));
-        span.attr("status", "almost_optimal");
-        span.attr("iterations", settings.max_iterations);
-        span.attr("objective", objective);
-        return Ok(LqSolution {
-            xs,
-            us,
-            stage_duals: zs,
-            objective,
-            iterations: settings.max_iterations,
-            status: SolveStatus::AlmostOptimal,
+
+    fn factor_failed(err: LinalgError) -> SolverError {
+        SolverError::NumericalFailure(format!("structured KKT factorization failed: {err}"))
+    }
+
+    /// Builds the condensed right-hand side, solves `H y = b`, and
+    /// recovers `Δx/Δu/Δλ`.
+    #[allow(clippy::needless_range_loop)] // `k`, `e` index stages and arcs of several arrays
+    fn newton(
+        &mut self,
+        ws: &[Vector],
+        ts: &[Vector],
+        r_xs: &[Vector],
+        r_us: &[Vector],
+        step: &mut Step,
+        telemetry: &Recorder,
+    ) {
+        let slq = self.slq;
+        let w = self.w;
+        let n = self.n;
+        // q̂_k = r_x,k + Cᵀ t_k  (r̂_k is just r_u,k: no input rows).
+        for k in 1..=w {
+            let qh = &mut self.q_hats[k];
+            qh.copy_from(&r_xs[k]);
+            slq.row_t_acc(&ts[k], qh);
+        }
+        // Condensed RHS, arc-major: b_k = −q̂_k + r̂_k − r̂_{k−1} (r̂_W ≡ 0).
+        let mut y = std::mem::replace(&mut self.y, Vector::zeros(0));
+        for e in 0..n {
+            for k in 1..=w {
+                let mut b = -self.q_hats[k][e] - r_us[k - 1][e];
+                if k < w {
+                    b += r_us[k][e];
+                }
+                y[e * w + k - 1] = b;
+            }
+        }
+        telemetry.time("solver.lq.schur_solve_seconds", || {
+            self.solve_refined(ws, &mut y);
         });
+        // Recover the trajectory step: Δx_0 = 0, Δu_k = Δx_{k+1} − Δx_k,
+        // Δλ_k = −r̂_k − R̃_k Δu_k.
+        step.dxs[0].fill(0.0);
+        for k in 1..=w {
+            for e in 0..n {
+                step.dxs[k][e] = y[e * w + k - 1];
+            }
+        }
+        for k in 0..w {
+            for e in 0..n {
+                let du = step.dxs[k + 1][e] - step.dxs[k][e];
+                step.dus[k][e] = du;
+                step.dlams[k][e] = -r_us[k][e] - (slq.r_diags[k][e] + self.reg) * du;
+            }
+        }
+        self.y = y;
     }
-    if let Some(err) = classify_infeasibility(best_violation, settings, z_max > 1e6) {
-        span.attr("status", "infeasible");
-        span.attr("dual_max", z_max);
-        return Err(err);
-    }
-    span.attr("status", "max_iterations");
-    span.attr("best_gap", best_gap);
-    Err(SolverError::MaxIterations {
-        limit: settings.max_iterations,
-        gap: best_gap,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::structured::{CouplingRow, DiagRow};
-    use crate::{solve_lq_warm, KktBackend};
+    use crate::{solve_lq, solve_lq_warm_traced, solve_structured, IpmSettings, SolverError};
     use proptest::prelude::*;
 
     /// A small DSPP-shaped instance: `dcs × locs` grid with every arc
@@ -1014,11 +586,8 @@ mod tests {
         .unwrap()
     }
 
-    fn dense_settings() -> IpmSettings {
-        IpmSettings {
-            kkt_backend: KktBackend::Dense,
-            ..IpmSettings::default()
-        }
+    fn solve(slq: &StructuredLq) -> Result<crate::LqSolution, SolverError> {
+        solve_structured(slq, &IpmSettings::default(), None, &Recorder::disabled())
     }
 
     /// The factorization itself: solve `H y = b` for random barrier
@@ -1043,9 +612,9 @@ mod tests {
         }
         let b: Vector = (0..n * w).map(|_| next() - 1.0).collect();
         let mut kkt = SchurKkt::new(&slq);
-        kkt.refactor(&slq, &ws, reg).unwrap();
+        kkt.refactor(&ws, reg).unwrap();
         let mut y = b.clone();
-        kkt.solve_in_place(&slq, &mut y);
+        kkt.solve_in_place(&mut y);
         // Reconstruct H y slot by slot.
         let mut worst = 0.0f64;
         let mut scratch = Vector::zeros(m);
@@ -1082,8 +651,8 @@ mod tests {
     #[test]
     fn structured_matches_dense_on_a_dspp_instance() {
         let slq = instance(3, 4, 4, 5.0, 40.0);
-        let dense = solve_lq_warm(&slq.to_lq(), &dense_settings(), None).unwrap();
-        let structured = solve_structured(&slq, &IpmSettings::default()).unwrap();
+        let dense = solve_lq(&slq.to_lq(), &IpmSettings::default()).unwrap();
+        let structured = solve(&slq).unwrap();
         assert!(
             (structured.objective - dense.objective).abs() <= 1e-8 * (1.0 + dense.objective.abs()),
             "objectives diverge: structured {} vs dense {}",
@@ -1102,13 +671,21 @@ mod tests {
     #[test]
     fn warm_start_reaches_the_same_optimum() {
         let slq = instance(2, 3, 3, 4.0, 30.0);
-        let cold = solve_structured(&slq, &IpmSettings::default()).unwrap();
-        let warm = solve_structured_warm(&slq, &IpmSettings::default(), Some(&cold.us)).unwrap();
+        let warm_solve = |guess: &[Vector]| {
+            solve_structured(
+                &slq,
+                &IpmSettings::default(),
+                Some(guess),
+                &Recorder::disabled(),
+            )
+        };
+        let cold = solve(&slq).unwrap();
+        let warm = warm_solve(&cold.us).unwrap();
         assert!((warm.objective - cold.objective).abs() < 1e-6);
         assert!(warm.iterations <= cold.iterations);
         let bad = vec![Vector::zeros(1); 3];
         assert!(matches!(
-            solve_structured_warm(&slq, &IpmSettings::default(), Some(&bad)),
+            warm_solve(&bad),
             Err(SolverError::InvalidProblem(_))
         ));
     }
@@ -1117,7 +694,7 @@ mod tests {
     fn infeasible_demand_is_certified() {
         // Total demand 3 locations × 50 against one DC capping at 10.
         let slq = instance(1, 3, 3, 50.0, 10.0);
-        let err = solve_structured(&slq, &IpmSettings::default()).unwrap_err();
+        let err = solve(&slq).unwrap_err();
         assert!(
             matches!(err, SolverError::Infeasible { .. }),
             "expected a certificate, got {err}"
@@ -1128,8 +705,7 @@ mod tests {
     fn traced_solve_reports_schur_metrics() {
         let telemetry = Recorder::enabled();
         let slq = instance(2, 3, 3, 4.0, 30.0);
-        let sol =
-            solve_structured_warm_traced(&slq, &IpmSettings::default(), None, &telemetry).unwrap();
+        let sol = solve_structured(&slq, &IpmSettings::default(), None, &telemetry).unwrap();
         let snap = telemetry.snapshot().unwrap();
         assert_eq!(snap.counter("solver.lq.solves"), 1);
         assert_eq!(snap.counter("solver.lq.status.optimal"), 1);
@@ -1153,32 +729,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dispatch_from_dense_problem_uses_structured_path() {
-        // Threshold 0 forces the structured path through solve_lq; the
-        // schur_factor counter proves which backend ran.
-        let slq = instance(2, 3, 3, 4.0, 30.0);
-        let problem = slq.to_lq();
-        let telemetry = Recorder::enabled();
-        let settings = IpmSettings {
-            structured_threshold: 0,
-            ..IpmSettings::default()
-        };
-        let sol = crate::solve_lq_warm_traced(&problem, &settings, None, &telemetry).unwrap();
-        let snap = telemetry.snapshot().unwrap();
-        assert!(snap.counter("solver.lq.schur_factor") >= sol.iterations as u64);
-        // Same problem, dense backend: no schur factorizations.
-        let telemetry2 = Recorder::enabled();
-        crate::solve_lq_warm_traced(&problem, &dense_settings(), None, &telemetry2).unwrap();
-        assert_eq!(
-            telemetry2
-                .snapshot()
-                .unwrap()
-                .counter("solver.lq.schur_factor"),
-            0
-        );
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         /// The two backends must agree to 1e-8 on random DSPP-shaped
@@ -1196,8 +746,8 @@ mod tests {
             // unit of demand here).
             let cap = demand * locs as f64 * cap_slack / dcs as f64;
             let slq = instance(dcs, locs, w, demand, cap);
-            let dense = solve_lq_warm(&slq.to_lq(), &dense_settings(), None).unwrap();
-            let structured = solve_structured(&slq, &IpmSettings::default()).unwrap();
+            let dense = solve_lq(&slq.to_lq(), &IpmSettings::default()).unwrap();
+            let structured = solve(&slq).unwrap();
             prop_assert!(
                 (structured.objective - dense.objective).abs()
                     <= 1e-8 * (1.0 + dense.objective.abs()),
@@ -1222,16 +772,21 @@ mod tests {
             let cap = demand * locs as f64 * 2.0 / dcs as f64;
             let slq = instance(dcs, locs, 3, demand, cap);
             let problem = slq.to_lq();
-            let run = |settings: &IpmSettings| {
+            let settings = IpmSettings::default();
+            let run = |structured: bool| {
                 let telemetry = Recorder::enabled();
+                let solve = |warm: Option<&[Vector]>| {
+                    if structured {
+                        solve_structured(&slq, &settings, warm, &telemetry)
+                    } else {
+                        solve_lq_warm_traced(&problem, &settings, warm, &telemetry)
+                    }
+                    .unwrap()
+                };
                 let mut tracker = WarmStartTracker::new();
-                let cold =
-                    crate::solve_lq_warm_traced(&problem, settings, None, &telemetry).unwrap();
+                let cold = solve(None);
                 tracker.record(false, cold.iterations, &telemetry);
-                let warm = crate::solve_lq_warm_traced(
-                    &problem, settings, Some(&cold.us), &telemetry,
-                )
-                .unwrap();
+                let warm = solve(Some(&cold.us));
                 tracker.record(true, warm.iterations, &telemetry);
                 let snap = telemetry.snapshot().unwrap();
                 (
@@ -1240,12 +795,7 @@ mod tests {
                     snap.counter("solver.lq.warm_hits"),
                 )
             };
-            let structured = run(&IpmSettings {
-                structured_threshold: 0,
-                ..IpmSettings::default()
-            });
-            let dense = run(&dense_settings());
-            prop_assert_eq!(structured, dense);
+            prop_assert_eq!(run(true), run(false));
         }
     }
 }

@@ -12,18 +12,15 @@
 //! data: `O(n + rows)` per stage, so 100 DCs × 1000 locations fits in a
 //! few megabytes.
 //!
-//! [`StructuredLq::from_lq`] detects the structure in an existing dense
-//! problem (the dispatch path behind
-//! [`solve_lq`](crate::solve_lq) when
-//! [`KktBackend::Structured`](crate::KktBackend::Structured) is selected);
-//! [`StructuredLq::new`] builds one directly for instances too large to
-//! ever materialize densely; [`StructuredLq::to_lq`] expands back for
-//! cross-validation. The interior-point loop that consumes this type lives
-//! in the `skkt` module.
+//! [`StructuredLq::new`] builds one directly — the DSPP horizon builder
+//! in `dspp-core` emits its rows straight into this form —
+//! [`solve_structured`](crate::solve_structured) solves it with
+//! Schur-condensed Newton steps, and [`StructuredLq::to_lq`] expands it to
+//! the equivalent dense problem for the Riccati backend and for
+//! cross-validation.
 
 use crate::{LqProblem, LqStage, LqTerminal, SolverError};
 use dspp_linalg::{Matrix, Vector};
-use std::collections::VecDeque;
 
 /// A constraint row touching exactly one arc: `coeff · x_arc ≤ d_row`.
 ///
@@ -96,19 +93,6 @@ pub struct StructuredLq {
 /// Marker for "arc not in any row of this group".
 pub(crate) const NO_ROW: usize = usize::MAX;
 
-fn is_zero_matrix(m: &Matrix) -> bool {
-    (0..m.rows()).all(|i| (0..m.cols()).all(|j| m[(i, j)] == 0.0))
-}
-
-fn is_identity(m: &Matrix) -> bool {
-    m.is_square()
-        && (0..m.rows()).all(|i| (0..m.cols()).all(|j| m[(i, j)] == if i == j { 1.0 } else { 0.0 }))
-}
-
-fn is_diagonal(m: &Matrix) -> bool {
-    m.is_square() && (0..m.rows()).all(|i| (0..m.cols()).all(|j| i == j || m[(i, j)] == 0.0))
-}
-
 impl StructuredLq {
     /// Builds a structured problem from its compact parts.
     ///
@@ -117,7 +101,9 @@ impl StructuredLq {
     /// `1..=W`, `r_diags` one per stage `0..W-1` (the two counts are both
     /// `W`); every `ds[k]` has length `m_rows`. Row indices of
     /// `diag_rows` ∪ `group_a` ∪ `group_b` must partition `0..m_rows`,
-    /// and each group's rows must have pairwise-disjoint arc supports.
+    /// and each group's rows must have pairwise-disjoint arc supports. A
+    /// coupling row may be empty — a data center no location reaches —
+    /// and then stays in the layout as the vacuous row `0 ≤ d`.
     ///
     /// # Errors
     ///
@@ -205,9 +191,6 @@ impl StructuredLq {
         for (group, map, name) in [(&group_a, &mut arc_a, "A"), (&group_b, &mut arc_b, "B")] {
             for (gi, c) in group.iter().enumerate() {
                 claim_row(c.row)?;
-                if c.entries.is_empty() {
-                    return bad(format!("coupling row {} has no entries", c.row));
-                }
                 for &(e, coeff) in &c.entries {
                     if e >= n || !coeff.is_finite() || coeff == 0.0 {
                         return bad(format!("coupling row {} has invalid entry", c.row));
@@ -241,156 +224,10 @@ impl StructuredLq {
         })
     }
 
-    /// Detects DSPP structure in a dense [`LqProblem`], returning `None`
-    /// when the problem does not fit (the caller then stays on the dense
-    /// path).
-    ///
-    /// Requirements: identity `A`/`B` with no affine term, zero state
-    /// Hessians, positive-diagonal input Hessians, an unconstrained stage
-    /// 0, identical state-only constraint matrices on every later slot,
-    /// and coupling rows whose overlap graph is bipartite with
-    /// disjoint supports inside each side (demand/capacity "arrow"
-    /// structure). Relaxation slack columns, rate-limit (input) rows, and
-    /// general dynamics all fail detection — by design those solves keep
-    /// the dense path.
-    pub fn from_lq(problem: &LqProblem) -> Option<StructuredLq> {
-        let w = problem.horizon();
-        let n = problem.state_dim();
-        for st in &problem.stages {
-            if st.input_dim() != n
-                || !is_identity(&st.a)
-                || !is_identity(&st.b)
-                || st.c.norm_inf() != 0.0
-                || !is_zero_matrix(&st.q_mat)
-                || !is_diagonal(&st.r_mat)
-            {
-                return None;
-            }
-            // Negated so a NaN diagonal entry rejects the structured path.
-            #[allow(clippy::neg_cmp_op_on_partial_ord)]
-            if (0..n).any(|e| !(st.r_mat[(e, e)] > 0.0)) {
-                return None;
-            }
-        }
-        if !is_zero_matrix(&problem.terminal.q_mat) {
-            return None;
-        }
-        if problem.stages[0].num_constraints() != 0 {
-            return None;
-        }
-        let m_rows = problem.terminal.d.len();
-        let cx = &problem.terminal.cx;
-        for st in problem.stages.iter().skip(1) {
-            if st.num_constraints() != m_rows || st.cx != *cx || !is_zero_matrix(&st.cu) {
-                return None;
-            }
-        }
-
-        // Classify rows by support size.
-        let mut diag_rows = Vec::new();
-        let mut coupling: Vec<CouplingRow> = Vec::new();
-        for r in 0..m_rows {
-            let entries: Vec<(usize, f64)> = (0..n)
-                .filter(|&e| cx[(r, e)] != 0.0)
-                .map(|e| (e, cx[(r, e)]))
-                .collect();
-            match entries.len() {
-                0 => return None, // vacuous row; keep the dense path
-                1 => diag_rows.push(DiagRow {
-                    row: r,
-                    arc: entries[0].0,
-                    coeff: entries[0].1,
-                }),
-                _ => coupling.push(CouplingRow { row: r, entries }),
-            }
-        }
-
-        // Bipartition the coupling rows: rows sharing an arc must land in
-        // different groups (2-coloring of the overlap graph); an arc in
-        // three or more coupling rows, or an odd overlap cycle, has no
-        // two-group arrow structure.
-        let mut touch: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (ci, c) in coupling.iter().enumerate() {
-            for &(e, _) in &c.entries {
-                if touch[e].len() >= 2 {
-                    return None;
-                }
-                touch[e].push(ci);
-            }
-        }
-        let mut color = vec![u8::MAX; coupling.len()];
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); coupling.len()];
-        for rows in &touch {
-            if let [a, b] = rows[..] {
-                adj[a].push(b);
-                adj[b].push(a);
-            }
-        }
-        let mut queue = VecDeque::new();
-        for start in 0..coupling.len() {
-            if color[start] != u8::MAX {
-                continue;
-            }
-            color[start] = 0;
-            queue.push_back(start);
-            while let Some(u) = queue.pop_front() {
-                for &v in &adj[u] {
-                    if color[v] == u8::MAX {
-                        color[v] = 1 - color[u];
-                        queue.push_back(v);
-                    } else if color[v] == color[u] {
-                        return None;
-                    }
-                }
-            }
-        }
-        let mut group_a = Vec::new();
-        let mut group_b = Vec::new();
-        for (c, col) in coupling.into_iter().zip(&color) {
-            if *col == 0 {
-                group_a.push(c);
-            } else {
-                group_b.push(c);
-            }
-        }
-
-        let diag_of = |m: &Matrix| -> Vector { (0..n).map(|e| m[(e, e)]).collect() };
-        let qs: Vec<Vector> = (1..=w)
-            .map(|k| {
-                if k < w {
-                    problem.stages[k].q_vec.clone()
-                } else {
-                    problem.terminal.q_vec.clone()
-                }
-            })
-            .collect();
-        let ds: Vec<Vector> = (1..=w)
-            .map(|k| {
-                if k < w {
-                    problem.stages[k].d.clone()
-                } else {
-                    problem.terminal.d.clone()
-                }
-            })
-            .collect();
-        StructuredLq::new(
-            problem.x0.clone(),
-            problem.stages[0].q_vec.clone(),
-            qs,
-            problem.stages.iter().map(|st| diag_of(&st.r_mat)).collect(),
-            problem.stages.iter().map(|st| st.r_vec.clone()).collect(),
-            ds,
-            diag_rows,
-            group_a,
-            group_b,
-            m_rows,
-        )
-        .ok()
-    }
-
-    /// Expands back to the equivalent dense [`LqProblem`] — the
-    /// cross-validation bridge for agreement tests and the dense leg of
-    /// the scaling experiment.
+    /// Expands to the equivalent dense [`LqProblem`]: identity dynamics,
+    /// diagonal `R`, an unconstrained stage 0 and the same `m_rows` state
+    /// rows on every later slot. This is what the Riccati backend solves,
+    /// and the bridge for cross-validation.
     ///
     /// # Panics
     ///
@@ -510,42 +347,6 @@ impl StructuredLq {
         j
     }
 
-    /// Largest constraint violation along a trajectory.
-    #[allow(clippy::needless_range_loop)] // `k` is a stage index, offset by one
-    pub(crate) fn max_violation(&self, xs: &[Vector], scratch: &mut Vector) -> f64 {
-        let mut v: f64 = 0.0;
-        for k in 1..=self.w {
-            self.row_lhs_into(&xs[k], scratch);
-            for i in 0..self.m_rows {
-                v = v.max(scratch[i] - self.ds[k - 1][i]);
-            }
-        }
-        v.max(0.0)
-    }
-
-    /// Most-violated row `(slot, row, violation, violation/(1+|d|))`,
-    /// mirroring the dense path's classifier input.
-    #[allow(clippy::needless_range_loop)] // `k` is a stage index, offset by one
-    pub(crate) fn worst_violation_row(
-        &self,
-        xs: &[Vector],
-        scratch: &mut Vector,
-    ) -> (usize, usize, f64, f64) {
-        let mut worst = (0usize, 0usize, 0.0f64, 0.0f64);
-        for k in 1..=self.w {
-            self.row_lhs_into(&xs[k], scratch);
-            let d = &self.ds[k - 1];
-            for i in 0..self.m_rows {
-                let viol = scratch[i] - d[i];
-                let rel = viol / (1.0 + d[i].abs());
-                if rel > worst.3 {
-                    worst = (k, i, viol, rel);
-                }
-            }
-        }
-        worst
-    }
-
     /// Problem scale for the stopping test, matching the dense path.
     pub(crate) fn scale(&self) -> f64 {
         let mut scale: f64 = 1.0;
@@ -620,26 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_through_dense_detection() {
-        let slq = dspp_like(3);
-        let dense = slq.to_lq();
-        let detected = StructuredLq::from_lq(&dense).expect("structure must be detected");
-        assert_eq!(detected.state_dim(), 4);
-        assert_eq!(detected.horizon(), 3);
-        assert_eq!(detected.num_rows(), 8);
-        assert_eq!(detected.num_coupling_rows(), 4);
-        assert_eq!(detected.diag_rows.len(), 4);
-        // The bipartition must separate demand-like from capacity-like
-        // rows (group naming may swap; sizes must be 2 + 2 with disjoint
-        // supports — guaranteed by the constructor).
-        assert_eq!(detected.group_a.len() + detected.group_b.len(), 4);
-        // Expanding the detected problem again reproduces the matrices.
-        let dense2 = detected.to_lq();
-        assert_eq!(dense.stages[1].cx, dense2.stages[1].cx);
-        assert_eq!(dense.terminal.d, dense2.terminal.d);
-    }
-
-    #[test]
     fn row_products_match_dense_matrices() {
         let slq = dspp_like(2);
         let dense = slq.to_lq();
@@ -657,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn objective_and_violation_match_dense() {
+    fn rollout_and_objective_match_dense() {
         let slq = dspp_like(3);
         let dense = slq.to_lq();
         let us: Vec<Vector> = (0..3)
@@ -669,60 +450,40 @@ mod tests {
             assert!((a - b).norm_inf() < 1e-15);
         }
         assert!((slq.objective(&xs, &us) - dense.objective(&xs, &us)).abs() < 1e-12);
-        let mut scratch = Vector::zeros(slq.num_rows());
-        assert!(
-            (slq.max_violation(&xs, &mut scratch) - dense.max_violation(&xs, &us)).abs() < 1e-12
-        );
     }
 
     #[test]
-    fn detection_rejects_unsupported_shapes() {
-        let slq = dspp_like(2);
-        // Non-identity dynamics.
-        let mut p = slq.to_lq();
-        p.stages[0].a[(0, 1)] = 0.5;
-        assert!(StructuredLq::from_lq(&p).is_none());
-        // Input-coupled rows (rate limits).
-        let mut p = slq.to_lq();
-        p.stages[1].cu[(0, 0)] = 1.0;
-        assert!(StructuredLq::from_lq(&p).is_none());
-        // Non-diagonal input Hessian.
-        let mut p = slq.to_lq();
-        p.stages[0].r_mat[(0, 1)] = 0.1;
-        assert!(StructuredLq::from_lq(&p).is_none());
-        // Differing constraint matrices across slots.
-        let mut p = slq.to_lq();
-        p.stages[1].cx[(0, 1)] = -9.0;
-        assert!(StructuredLq::from_lq(&p).is_none());
-        // Constraints on stage 0.
-        let mut p = slq.to_lq();
-        let row = Matrix::from_rows(&[&[-1.0, 0.0, 0.0, 0.0]]).unwrap();
-        p.stages[0] =
-            p.stages[0]
-                .clone()
-                .with_constraints(row, Matrix::zeros(1, 4), Vector::from(vec![0.0]));
-        assert!(StructuredLq::from_lq(&p).is_none());
-    }
-
-    #[test]
-    fn detection_rejects_non_bipartite_coupling() {
-        // Three coupling rows pairwise overlapping on three arcs: an odd
-        // cycle, not an arrow structure.
-        let n = 3;
-        let rows =
-            Matrix::from_rows(&[&[1.0, 1.0, 0.0], &[0.0, 1.0, 1.0], &[1.0, 0.0, 1.0]]).unwrap();
-        let mut st = LqStage::identity_dynamics(n);
-        st.r_mat = Matrix::from_diag(&Vector::filled(n, 1.0));
-        let constrained =
-            st.clone()
-                .with_constraints(rows.clone(), Matrix::zeros(3, n), Vector::filled(3, 5.0));
-        let problem = LqProblem::new(
-            Vector::zeros(n),
-            vec![st, constrained],
-            LqTerminal::free(n).with_constraints(rows, Vector::filled(3, 5.0)),
+    fn empty_coupling_row_stays_a_vacuous_row() {
+        // A third capacity row over no arcs: a data center no location
+        // reaches. It keeps its row index and expands to a zero row.
+        let ok = dspp_like(2);
+        let mut group_b = ok.group_b.clone();
+        group_b.push(CouplingRow {
+            row: 8,
+            entries: Vec::new(),
+        });
+        let ds: Vec<Vector> = ok
+            .ds
+            .iter()
+            .map(|d| d.iter().copied().chain([40.0]).collect())
+            .collect();
+        let slq = StructuredLq::new(
+            ok.x0.clone(),
+            ok.q0.clone(),
+            ok.qs.clone(),
+            ok.r_diags.clone(),
+            ok.r_vecs.clone(),
+            ds,
+            ok.diag_rows.clone(),
+            ok.group_a.clone(),
+            group_b,
+            9,
         )
         .unwrap();
-        assert!(StructuredLq::from_lq(&problem).is_none());
+        assert_eq!(slq.num_coupling_rows(), 5);
+        let dense = slq.to_lq();
+        assert_eq!(dense.terminal.d.len(), 9);
+        assert!((0..4).all(|e| dense.terminal.cx[(8, e)] == 0.0));
     }
 
     #[test]

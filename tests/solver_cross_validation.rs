@@ -1,9 +1,17 @@
-//! Property-based cross-validation of the two independent QP solvers: the
+//! Property-based cross-validation of the independent QP solvers: the
 //! Riccati-structured interior point and the dense Mehrotra interior point
-//! must agree on randomized stage-structured problems.
+//! must agree on randomized stage-structured problems, and the two KKT
+//! backends of the stage-structured interior point (Riccati on the dense
+//! expansion, Schur condensation on the compact form) must agree on
+//! randomized DSPP horizons.
 
+use dspp::core::{Allocation, DsppBuilder, HorizonProblem};
 use dspp::linalg::{Matrix, Vector};
-use dspp::solver::{flatten_lq, solve_lq, solve_qp, IpmSettings, LqProblem, LqStage, LqTerminal};
+use dspp::solver::{
+    flatten_lq, solve_lq, solve_qp, solve_structured, IpmSettings, LqProblem, LqStage, LqTerminal,
+    SolverError,
+};
+use dspp::telemetry::Recorder;
 use proptest::prelude::*;
 
 /// Builds a random but well-posed DSPP-shaped LQ problem: identity
@@ -159,8 +167,9 @@ fn rate_limited_problems_cross_validate_with_input_rows() {
     )
     .expect("horizon");
     let settings = IpmSettings::default();
-    let sol_lq = solve_lq(horizon.lq(), &settings).expect("structured");
-    let flat = flatten_lq(horizon.lq()).expect("flatten");
+    let lq = horizon.to_lq();
+    let sol_lq = solve_lq(&lq, &settings).expect("structured");
+    let flat = flatten_lq(&lq).expect("flatten");
     let sol_qp = solve_qp(&flat.qp, &settings).expect("dense");
     assert!(
         (sol_lq.objective - (sol_qp.objective + flat.offset)).abs() < 1e-4,
@@ -180,5 +189,177 @@ fn rate_limited_problems_cross_validate_with_input_rows() {
             (u - &sol_lq.us[k]).norm_inf() < 2e-3,
             "u[{k}] mismatch between solvers"
         );
+    }
+}
+
+/// The instance families of the backend differential test.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Case {
+    /// Random reach and latencies under a per-stage capacity schedule
+    /// where every live DC could host all demand alone.
+    Generic,
+    /// As `Generic`, with no demand anywhere.
+    ZeroDemand,
+    /// As `Generic`, with every DC posting the same prices.
+    TiedPrices,
+    /// Every location reaches every DC at the same latency, and capacity
+    /// exceeds the aggregate requirement by 2%.
+    NearCapacity,
+    /// As `Generic`, plus one DC that no location reaches: an empty
+    /// capacity row.
+    DarkDc,
+    /// As `NearCapacity`, but one period gets 60% of the requirement.
+    Infeasible,
+}
+
+const CASES: [Case; 6] = [
+    Case::Generic,
+    Case::ZeroDemand,
+    Case::TiedPrices,
+    Case::NearCapacity,
+    Case::DarkDc,
+    Case::Infeasible,
+];
+
+/// A small random DSPP horizon of `case`'s family, built twice: once with
+/// ample capacity to read the per-period requirement off the preflight,
+/// then with the case's capacity schedule.
+fn differential_horizon(
+    case: Case,
+    dcs: usize,
+    locs: usize,
+    w: usize,
+    seed: u64,
+) -> HorizonProblem {
+    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+    let mut unit = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let uniform = matches!(case, Case::NearCapacity | Case::Infeasible);
+    let dark = usize::from(case == Case::DarkDc);
+    let live = dcs - dark;
+    let latency: Vec<Vec<f64>> = (0..dcs)
+        .map(|l| {
+            (0..locs)
+                .map(|v| {
+                    let reach = l < live && (uniform || l == v % live || unit() < 0.6);
+                    match (reach, uniform) {
+                        (false, _) => 0.200,
+                        (true, true) => 0.010,
+                        (true, false) => 0.005 + 0.030 * unit(),
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let tied = case == Case::TiedPrices;
+    let base_price = 0.5 + unit();
+    let mut builder = DsppBuilder::new(dcs, locs)
+        .service_rate(100.0)
+        .sla_latency(0.060)
+        .latency_rows(latency);
+    let mut prices = Vec::with_capacity(dcs);
+    for l in 0..dcs {
+        let series: Vec<f64> = (0..w)
+            .map(|_| if tied { base_price } else { 0.5 + unit() })
+            .collect();
+        builder = builder
+            .price_trace(l, series.clone())
+            .reconfiguration_weight(l, 0.01 + 0.1 * unit());
+        prices.push(series);
+    }
+    let problem = builder.build().expect("valid spec");
+    let demand: Vec<Vec<f64>> = (0..locs)
+        .map(|_| {
+            (0..w)
+                .map(|_| {
+                    if case == Case::ZeroDemand {
+                        0.0
+                    } else {
+                        100.0 + 1_900.0 * unit()
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let x0 = Allocation::from_arc_values(
+        &problem,
+        (0..problem.num_arcs()).map(|_| 2.0 * unit()).collect(),
+    );
+    let ample = vec![vec![1e6; dcs]; w];
+    let required: Vec<f64> =
+        HorizonProblem::build_full(&problem, &x0, &demand, &prices, Some(&ample), None)
+            .expect("horizon")
+            .preflight()
+            .expect("preflight")
+            .periods
+            .iter()
+            .map(|p| p.required)
+            .collect();
+    let short = (unit() * w as f64) as usize;
+    let caps: Vec<Vec<f64>> = required
+        .iter()
+        .enumerate()
+        .map(|(t, &req)| {
+            (0..dcs)
+                .map(|_| match case {
+                    Case::NearCapacity => 1.02 * req / live as f64,
+                    Case::Infeasible if t == short => 0.6 * req / live as f64,
+                    Case::Infeasible => 1.02 * req / live as f64,
+                    _ => (1.0 + unit()) * req.max(1.0),
+                })
+                .collect()
+        })
+        .collect();
+    HorizonProblem::build_full(&problem, &x0, &demand, &prices, Some(&caps), None).expect("horizon")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(36))]
+    /// The Schur backend on the compact form and the Riccati backend on its
+    /// dense expansion reach the same objective to 1e-8, or both certify
+    /// the same horizon infeasible.
+    #[test]
+    fn kkt_backends_agree_on_random_dspp_horizons(
+        case in 0usize..6,
+        dcs in 2usize..5,
+        locs in 1usize..6,
+        w in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        let case = CASES[case];
+        let horizon = differential_horizon(case, dcs, locs, w, seed);
+        let settings = IpmSettings::default();
+        let schur = solve_structured(horizon.slq(), &settings, None, &Recorder::disabled());
+        let riccati = solve_lq(&horizon.to_lq(), &settings);
+        let feasible = horizon.preflight().expect("preflight").is_feasible();
+        prop_assert_eq!(feasible, case != Case::Infeasible);
+        match (case, schur, riccati) {
+            (Case::Infeasible, schur, riccati) => {
+                prop_assert!(
+                    matches!(schur, Err(SolverError::Infeasible { .. })),
+                    "schur: {:?}", schur.map(|s| s.objective)
+                );
+                prop_assert!(
+                    matches!(riccati, Err(SolverError::Infeasible { .. })),
+                    "riccati: {:?}", riccati.map(|s| s.objective)
+                );
+            }
+            (_, Ok(schur), Ok(riccati)) => prop_assert!(
+                (schur.objective - riccati.objective).abs()
+                    <= 1e-8 * (1.0 + riccati.objective.abs()),
+                "{:?}: schur {} vs riccati {}", case, schur.objective, riccati.objective
+            ),
+            (_, schur, riccati) => prop_assert!(
+                false,
+                "{:?}: schur {:?} / riccati {:?}",
+                case,
+                schur.map(|s| s.objective),
+                riccati.map(|s| s.objective)
+            ),
+        }
     }
 }
