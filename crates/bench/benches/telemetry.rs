@@ -1,11 +1,8 @@
 //! Telemetry overhead benchmark: the traced solver entry point with a
 //! *disabled* recorder must cost essentially the same as the untraced one
 //! (< 5 % on the structured solver benchmark) — the contract that lets
-//! every hot path ship permanently instrumented. The enabled-recorder
-//! variant is measured too, for reference; it pays for real atomic
-//! increments and histogram inserts and is allowed to cost more.
+//! every hot path ship permanently instrumented.
 
-use criterion::Criterion;
 use dspp_bench::lq_fixture;
 use dspp_solver::{solve_lq, solve_lq_traced, IpmSettings};
 use dspp_telemetry::Recorder;
@@ -18,28 +15,15 @@ const MAX_NOOP_OVERHEAD: f64 = 0.05;
 const CONTRACT_ROUNDS: usize = 200;
 
 fn main() {
-    let mut c = Criterion::default().configure_from_args().sample_size(30);
     let settings = IpmSettings::fast();
     let problem = lq_fixture(6, 20, 30.0);
     let disabled = Recorder::disabled();
-    let enabled = Recorder::enabled();
 
-    c.bench_function("telemetry/solver_untraced", |b| {
-        b.iter(|| solve_lq(&problem, &settings).expect("solve"))
-    });
-    c.bench_function("telemetry/solver_traced_disabled", |b| {
-        b.iter(|| solve_lq_traced(&problem, &settings, &disabled).expect("solve"))
-    });
-    c.bench_function("telemetry/solver_traced_enabled", |b| {
-        b.iter(|| solve_lq_traced(&problem, &settings, &enabled).expect("solve"))
-    });
-
-    // Contract check. The criterion numbers above measure each variant in
-    // its own window, so machine-load drift between windows can dwarf a
-    // sub-percent true overhead. Interleave the two variants round-by-round
-    // instead — drift then hits both equally — and compare fastest-of-N:
-    // both loops run the identical solve, so any true overhead must show up
-    // in the fastest run.
+    // Timing each variant in its own window lets machine-load drift
+    // between windows dwarf a sub-percent true overhead. Interleave the
+    // two variants round-by-round instead — drift then hits both equally —
+    // and compare fastest-of-N: both loops run the identical solve, so any
+    // true overhead must show up in the fastest run.
     let mut best_untraced = Duration::MAX;
     let mut best_disabled = Duration::MAX;
     for _ in 0..CONTRACT_ROUNDS {

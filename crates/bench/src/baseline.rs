@@ -721,7 +721,7 @@ pub fn record_selected(iters: usize, only: &[String]) -> Baseline {
     }
 }
 
-fn push_f64(out: &mut String, v: f64) {
+fn push_finite_or_null(out: &mut String, v: f64) {
     if v.is_finite() {
         let _ = write!(out, "{v}");
     } else {
@@ -747,14 +747,14 @@ impl Baseline {
                 "\n    {{\"name\": \"{}\", \"samples\": {}, \"throughput\": ",
                 m.name, m.samples
             );
-            push_f64(&mut out, m.throughput);
+            push_finite_or_null(&mut out, m.throughput);
             for (key, v) in [
                 ("p50_us", m.p50_us),
                 ("p90_us", m.p90_us),
                 ("p99_us", m.p99_us),
             ] {
                 let _ = write!(out, ", \"{key}\": ");
-                push_f64(&mut out, v);
+                push_finite_or_null(&mut out, v);
             }
             out.push_str(", \"counters\": {");
             for (j, (key, v)) in m.counters.iter().enumerate() {
@@ -762,7 +762,7 @@ impl Baseline {
                     out.push_str(", ");
                 }
                 let _ = write!(out, "\"{key}\": ");
-                push_f64(&mut out, *v);
+                push_finite_or_null(&mut out, *v);
             }
             out.push_str("}}");
         }
@@ -778,61 +778,42 @@ impl Baseline {
     /// missing field.
     pub fn from_json(input: &str) -> Result<Baseline, String> {
         let root = json::parse(input).map_err(|e| format!("baseline JSON: {e}"))?;
-        let obj = root.as_object().ok_or("baseline must be a JSON object")?;
-        let version = obj
-            .get("schema_version")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing schema_version")?;
+        let version = json::get_u64(&root, "schema_version")?;
         if version != BASELINE_SCHEMA_VERSION {
             return Err(format!(
                 "unsupported baseline schema_version {version} (expected {BASELINE_SCHEMA_VERSION})"
             ));
         }
-        let metrics = obj
-            .get("metrics")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing metrics array")?;
-        let mut out = Vec::with_capacity(metrics.len());
-        for m in metrics {
-            let m = m.as_object().ok_or("metric must be an object")?;
-            let field = |key: &str| {
-                m.get(key)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("metric missing numeric field {key:?}"))
-            };
-            out.push(Metric {
-                name: m
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("metric missing name")?
-                    .to_string(),
-                samples: m
-                    .get("samples")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or("metric missing samples")?,
-                throughput: field("throughput")?,
-                p50_us: field("p50_us")?,
-                p90_us: field("p90_us")?,
-                p99_us: field("p99_us")?,
-                counters: match m.get("counters") {
-                    None => Vec::new(),
-                    Some(c) => {
-                        let obj = c.as_object().ok_or("counters must be an object")?;
-                        let mut counters = Vec::with_capacity(obj.len());
-                        for (key, v) in obj {
-                            let v = v
-                                .as_f64()
-                                .ok_or_else(|| format!("counter {key:?} must be numeric"))?;
-                            counters.push((key.clone(), v));
-                        }
-                        counters
-                    }
-                },
-            });
-        }
+        let number = |v: &JsonValue| v.as_f64().ok_or_else(|| "expected a number".to_string());
+        let metrics = json::field(&root, "metrics", |metrics| {
+            json::parse_array(metrics, |m| {
+                Ok(Metric {
+                    name: json::get_str(m, "name")?.to_string(),
+                    samples: json::get_u64(m, "samples")?,
+                    throughput: json::field(m, "throughput", number)?,
+                    p50_us: json::field(m, "p50_us", number)?,
+                    p90_us: json::field(m, "p90_us", number)?,
+                    p99_us: json::field(m, "p99_us", number)?,
+                    counters: match m.get("counters") {
+                        None => Vec::new(),
+                        Some(c) => c
+                            .as_object()
+                            .ok_or("counters must be an object")?
+                            .iter()
+                            .map(|(key, v)| {
+                                Ok((
+                                    key.clone(),
+                                    number(v).map_err(|e| format!("counter {key:?}: {e}"))?,
+                                ))
+                            })
+                            .collect::<Result<_, String>>()?,
+                    },
+                })
+            })
+        })?;
         Ok(Baseline {
             schema_version: version,
-            metrics: out,
+            metrics,
         })
     }
 }

@@ -1,18 +1,9 @@
-//! Shared fixtures for the Criterion benchmarks.
+//! The `dspp-bench` perf harness: shared fixtures plus the [`baseline`]
+//! recorder and regression gate over the committed `BENCH_BASELINE.json`
+//! (the `dspp-bench` binary).
 //!
-//! The benchmarks live in `benches/`:
-//!
-//! * `solver` — dense vs Riccati-structured interior point across horizon
-//!   lengths (the ablation behind the solver design choice in DESIGN.md).
-//! * `mpc` — controller step latency vs prediction horizon and arc count.
-//! * `game` — best-response iteration cost vs number of players.
-//! * `sim` — discrete-event throughput and closed-loop step cost.
-//! * `figures` — end-to-end regeneration cost of each paper figure
-//!   (reduced parameterizations for the slow ones).
-//!
-//! The crate also ships the `dspp-bench` binary ([`baseline`]): a
-//! perf-baseline recorder and regression gate over the committed
-//! `BENCH_BASELINE.json`.
+//! The one `benches/` target, `telemetry`, checks the < 5 % no-op
+//! telemetry overhead contract with interleaved std-only timing.
 
 pub mod baseline;
 

@@ -26,8 +26,7 @@
 //! simple baselines ([`policy::MyopicW1`], [`policy::StaticCheapestDc`],
 //! [`policy::ReactiveThreshold`], [`policy::ProportionalGreedy`]) — see
 //! `docs/POLICIES.md` for the handbook and the measured simple-vs-optimal
-//! gap. The solver-backed ablation baselines of the original evaluation
-//! live in [`baselines`].
+//! gap.
 //!
 //! # Examples
 //!
@@ -60,7 +59,6 @@
 #![warn(missing_docs)]
 
 mod allocation;
-pub mod baselines;
 mod controller;
 mod cost;
 mod error;

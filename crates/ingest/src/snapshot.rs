@@ -137,11 +137,6 @@ impl RouterSnapshot {
     pub fn version(&self) -> u64 {
         self.version
     }
-
-    /// Number of cities the snapshot covers.
-    pub fn num_cities(&self) -> usize {
-        self.offsets.len() - 1
-    }
 }
 
 /// The single-writer / many-reader swap cell. The writer (the control

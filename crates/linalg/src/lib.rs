@@ -13,7 +13,6 @@
 //!   exploiting KKT path for large placement instances.
 //! * [`Ldlt`]: an `LDLᵀ` factorization for symmetric *quasi-definite*
 //!   matrices (with static regularization), used for augmented KKT systems.
-//! * [`Lu`]: LU with partial pivoting for general square systems.
 //! * [`Qr`]: Householder QR for least-squares problems (AR model fitting).
 //!
 //! # Examples
@@ -38,7 +37,6 @@ mod block_diag;
 mod cholesky;
 mod error;
 mod ldlt;
-mod lu;
 mod matrix;
 mod qr;
 mod schur;
@@ -48,7 +46,6 @@ pub use block_diag::BlockDiag;
 pub use cholesky::Cholesky;
 pub use error::LinalgError;
 pub use ldlt::Ldlt;
-pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;
 pub use schur::SchurComplement;

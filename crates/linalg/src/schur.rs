@@ -74,12 +74,6 @@ impl SchurComplement {
         }
     }
 
-    /// Mutable access to the accumulation matrix for custom assembly loops.
-    pub fn matrix_mut(&mut self) -> &mut Matrix {
-        self.valid = false;
-        &mut self.mat
-    }
-
     /// Adds `scale · block` at offset `(r0, c0)`.
     ///
     /// # Panics

@@ -432,9 +432,12 @@ impl ClosedLoopSim {
             )));
         }
         let nv = self.demand.len();
-        if ck.periods.iter().any(|p| p.observed_demand.len() != nv) {
+        let nl = self.controller.problem().num_dcs();
+        if ck.periods.iter().any(|p| {
+            p.observed_demand.len() != nv || p.realized_demand.len() != nv || p.per_dc.len() != nl
+        }) {
             return Err(CoreError::InvalidSpec(format!(
-                "checkpoint periods do not match trace with {nv} locations"
+                "checkpoint periods do not match trace with {nv} locations and {nl} DCs"
             )));
         }
         self.controller.restore(&ck.controller_state)?;

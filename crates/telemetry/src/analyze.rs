@@ -80,51 +80,46 @@ fn parse_records(input: &str) -> Result<(Vec<ParsedSpan>, Vec<ParsedEvent>), Str
     let mut events = Vec::new();
     for (lineno, line) in input.lines().enumerate() {
         let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let doc = json::parse(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let kind = doc
-            .get("type")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("line {}: missing \"type\"", lineno + 1))?;
-        let name = doc
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("line {}: missing \"name\"", lineno + 1))?
-            .to_string();
-        let attrs = doc
-            .get("attrs")
-            .and_then(JsonValue::as_object)
-            .cloned()
-            .unwrap_or_default();
-        match kind {
-            "span" => spans.push(ParsedSpan {
-                id: doc
-                    .get("id")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("line {}: span missing \"id\"", lineno + 1))?,
-                parent: doc.get("parent").and_then(JsonValue::as_u64),
-                name,
-                start_ns: doc.get("start_ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                end_ns: doc.get("end_ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                attrs,
-            }),
-            "event" => events.push(ParsedEvent {
-                span: doc.get("span").and_then(JsonValue::as_u64),
-                name,
-                ts_ns: doc.get("ts_ns").and_then(JsonValue::as_u64).unwrap_or(0),
-                attrs,
-            }),
-            other => {
-                return Err(format!(
-                    "line {}: unknown record type {other:?}",
-                    lineno + 1
-                ))
-            }
+        if !line.is_empty() {
+            parse_record(line, &mut spans, &mut events)
+                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
         }
     }
     Ok((spans, events))
+}
+
+fn parse_record(
+    line: &str,
+    spans: &mut Vec<ParsedSpan>,
+    events: &mut Vec<ParsedEvent>,
+) -> Result<(), String> {
+    let doc = json::parse(line).map_err(|e| e.to_string())?;
+    let kind = json::get_str(&doc, "type")?;
+    let name = json::get_str(&doc, "name")?.to_string();
+    let attrs = doc
+        .get("attrs")
+        .and_then(JsonValue::as_object)
+        .cloned()
+        .unwrap_or_default();
+    let optional_u64 = |key: &str| doc.get(key).and_then(JsonValue::as_u64);
+    match kind {
+        "span" => spans.push(ParsedSpan {
+            id: json::get_u64(&doc, "id")?,
+            parent: optional_u64("parent"),
+            name,
+            start_ns: optional_u64("start_ns").unwrap_or(0),
+            end_ns: optional_u64("end_ns").unwrap_or(0),
+            attrs,
+        }),
+        "event" => events.push(ParsedEvent {
+            span: optional_u64("span"),
+            name,
+            ts_ns: optional_u64("ts_ns").unwrap_or(0),
+            attrs,
+        }),
+        other => return Err(format!("unknown record type {other:?}")),
+    }
+    Ok(())
 }
 
 fn ms(ns: u64) -> f64 {

@@ -261,14 +261,6 @@ impl Recorder {
         }
     }
 
-    /// A recorder backed by an existing shared registry.
-    pub fn with_registry(registry: Arc<Registry>) -> Self {
-        Recorder {
-            inner: Some(RecorderInner::Registry(registry)),
-            tracer: Tracer::disabled(),
-        }
-    }
-
     /// A recorder that streams raw events to `sink`.
     pub fn with_sink(sink: Arc<dyn TelemetrySink>) -> Self {
         Recorder {

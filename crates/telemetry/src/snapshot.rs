@@ -204,81 +204,55 @@ impl Snapshot {
     /// is missing a required section, or declares a `schema_version`
     /// other than [`SNAPSHOT_SCHEMA_VERSION`].
     pub fn from_json(input: &str) -> Result<Snapshot, json::JsonError> {
-        fn shape_err(message: &str) -> json::JsonError {
-            json::JsonError {
-                message: message.to_string(),
-                offset: 0,
-            }
-        }
         let doc = json::parse(input)?;
-        let version = doc
-            .get("schema_version")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| shape_err("missing schema_version"))?;
+        Snapshot::from_value(&doc).map_err(|message| json::JsonError { message, offset: 0 })
+    }
+
+    fn from_value(doc: &JsonValue) -> Result<Snapshot, String> {
+        let version = json::get_u64(doc, "schema_version")?;
         if version != SNAPSHOT_SCHEMA_VERSION {
-            return Err(shape_err(&format!(
+            return Err(format!(
                 "unsupported schema_version {version} (expected {SNAPSHOT_SCHEMA_VERSION})"
-            )));
+            ));
         }
+        let section = |key: &str| {
+            doc.get(key)
+                .and_then(JsonValue::as_object)
+                .ok_or_else(|| format!("missing {key} object"))
+        };
         let mut snap = Snapshot::new();
-        let counters = doc
-            .get("counters")
-            .and_then(JsonValue::as_object)
-            .ok_or_else(|| shape_err("missing counters object"))?;
-        for (name, value) in counters {
+        for (name, value) in section("counters")? {
             let v = value
                 .as_u64()
-                .ok_or_else(|| shape_err(&format!("counter {name:?} is not a u64")))?;
+                .ok_or_else(|| format!("counter {name:?} is not a u64"))?;
             snap.counters.insert(name.clone(), v);
         }
-        let gauges = doc
-            .get("gauges")
-            .and_then(JsonValue::as_object)
-            .ok_or_else(|| shape_err("missing gauges object"))?;
-        for (name, value) in gauges {
+        for (name, value) in section("gauges")? {
             let v = match value {
                 JsonValue::Null => f64::NAN,
                 other => other
                     .as_f64()
-                    .ok_or_else(|| shape_err(&format!("gauge {name:?} is not a number")))?,
+                    .ok_or_else(|| format!("gauge {name:?} is not a number"))?,
             };
             snap.gauges.insert(name.clone(), v);
         }
-        let histograms = doc
-            .get("histograms")
-            .and_then(JsonValue::as_object)
-            .ok_or_else(|| shape_err("missing histograms object"))?;
-        for (name, value) in histograms {
-            let field = |key: &str| {
-                value
-                    .get(key)
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| shape_err(&format!("histogram {name:?} missing {key:?}")))
-            };
-            let count = value
-                .get("count")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| shape_err(&format!("histogram {name:?} missing count")))?;
-            let bins = value
-                .get("bins")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| shape_err(&format!("histogram {name:?} missing bins")))?
-                .iter()
-                .map(|b| {
-                    b.as_u64()
-                        .ok_or_else(|| shape_err(&format!("histogram {name:?} has non-u64 bin")))
+        for (name, h) in section("histograms")? {
+            let number = |key: &str| {
+                json::field(h, key, |v| {
+                    v.as_f64().ok_or_else(|| "not a number".to_string())
                 })
-                .collect::<Result<Vec<u64>, _>>()?;
-            snap.histograms.insert(
-                name.clone(),
-                HistogramSummary {
-                    count,
-                    sum: field("sum")?,
-                    min: field("min")?,
-                    max: field("max")?,
-                    bins,
-                },
-            );
+            };
+            let summary = (|| -> Result<HistogramSummary, String> {
+                Ok(HistogramSummary {
+                    count: json::get_u64(h, "count")?,
+                    sum: number("sum")?,
+                    min: number("min")?,
+                    max: number("max")?,
+                    bins: json::field(h, "bins", json::parse_u64_array)?,
+                })
+            })()
+            .map_err(|e| format!("histogram {name:?}: {e}"))?;
+            snap.histograms.insert(name.clone(), summary);
         }
         Ok(snap)
     }
@@ -295,23 +269,10 @@ fn push_entries<'a, V: 'a>(
             out.push(',');
         }
         first = false;
-        push_json_string(out, name);
+        json::push_string(out, name);
         out.push(':');
         push_value(out, &value);
     }
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 fn push_json_f64(out: &mut String, v: f64) {

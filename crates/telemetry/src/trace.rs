@@ -55,6 +55,8 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::json;
+
 // ---------------------------------------------------------------------------
 // Clock
 // ---------------------------------------------------------------------------
@@ -604,21 +606,6 @@ impl Drop for SpanGuard {
 // Exporters
 // ---------------------------------------------------------------------------
 
-fn push_json_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 fn push_attr_value(out: &mut String, value: &AttrValue) {
     match value {
         AttrValue::Int(v) => out.push_str(&v.to_string()),
@@ -631,7 +618,7 @@ fn push_attr_value(out: &mut String, value: &AttrValue) {
             }
         }
         AttrValue::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
-        AttrValue::Str(v) => push_json_escaped(out, v),
+        AttrValue::Str(v) => json::push_string(out, v),
     }
 }
 
@@ -641,7 +628,7 @@ fn push_attrs(out: &mut String, attrs: &Attrs) {
         if i > 0 {
             out.push(',');
         }
-        push_json_escaped(out, key);
+        json::push_string(out, key);
         out.push(':');
         push_attr_value(out, value);
     }
@@ -668,7 +655,7 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
         match record {
             TraceRecord::Span(s) => {
                 out.push_str("{\"name\":");
-                push_json_escaped(&mut out, s.name);
+                json::push_string(&mut out, s.name);
                 out.push_str(",\"cat\":\"dspp\",\"ph\":\"X\",\"ts\":");
                 out.push_str(&us(s.start_ns));
                 out.push_str(",\"dur\":");
@@ -684,7 +671,7 @@ pub fn chrome_trace(records: &[TraceRecord]) -> String {
             }
             TraceRecord::Event(e) => {
                 out.push_str("{\"name\":");
-                push_json_escaped(&mut out, e.name);
+                json::push_string(&mut out, e.name);
                 out.push_str(",\"cat\":\"dspp\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
                 out.push_str(&us(e.ts_ns));
                 out.push_str(&format!(",\"pid\":1,\"tid\":{},\"args\":", e.thread));
@@ -720,7 +707,7 @@ pub fn jsonl(records: &[TraceRecord]) -> String {
                     None => out.push_str("null"),
                 }
                 out.push_str(&format!(",\"thread\":{},\"name\":", s.thread));
-                push_json_escaped(&mut out, s.name);
+                json::push_string(&mut out, s.name);
                 out.push_str(&format!(
                     ",\"start_ns\":{},\"end_ns\":{},\"attrs\":",
                     s.start_ns, s.end_ns
@@ -735,7 +722,7 @@ pub fn jsonl(records: &[TraceRecord]) -> String {
                     None => out.push_str("null"),
                 }
                 out.push_str(&format!(",\"thread\":{},\"name\":", e.thread));
-                push_json_escaped(&mut out, e.name);
+                json::push_string(&mut out, e.name);
                 out.push_str(&format!(",\"ts_ns\":{},\"attrs\":", e.ts_ns));
                 push_attrs(&mut out, &e.attrs);
                 out.push_str("}\n");
@@ -748,7 +735,6 @@ pub fn jsonl(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn manual_tracer(capacity: usize) -> (Tracer, Arc<ManualClock>) {
         let clock = ManualClock::new();

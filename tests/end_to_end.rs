@@ -1,12 +1,11 @@
 //! Cross-crate integration: topology → pricing → workload → controller →
 //! simulator, exercising the whole pipeline the way the experiments do.
 
-use dspp::core::baselines::{ReactiveController, StaticController};
+use dspp::core::policy::{MyopicW1, StaticCheapestDc};
 use dspp::core::{DsppBuilder, MpcController, MpcSettings, PlacementController};
-use dspp::predict::{ArPredictor, OraclePredictor, SeasonalNaive};
+use dspp::predict::{ArPredictor, LastValue, OraclePredictor, SeasonalNaive};
 use dspp::pricing::{ElectricityMarket, VmClass};
 use dspp::sim::ClosedLoopSim;
-use dspp::solver::IpmSettings;
 use dspp::topology::{default_data_centers, geo_latency_matrix, us_cities};
 use dspp::workload::{DemandModel, DiurnalProfile};
 
@@ -116,12 +115,12 @@ fn mpc_beats_static_and_reactive_on_the_full_scenario() {
     ));
     let peak = demand[0].iter().cloned().fold(0.0f64, f64::max);
     let stat = run(Box::new(
-        StaticController::new(problem(), IpmSettings::default(), vec![peak]).expect("static"),
+        StaticCheapestDc::new(problem(), vec![peak]).expect("static"),
     ));
-    let reactive = run(Box::new(ReactiveController::new(
-        problem(),
-        IpmSettings::default(),
-    )));
+    // No lookahead: a W = 1 MPC that forecasts the last observation.
+    let reactive = run(Box::new(
+        MyopicW1::new(problem(), Box::new(LastValue), MpcSettings::default()).expect("myopic"),
+    ));
     assert!(mpc < stat, "mpc {mpc} should beat static {stat}");
     assert!(mpc < reactive, "mpc {mpc} should beat reactive {reactive}");
 }
