@@ -1,18 +1,10 @@
 use crate::{Allocation, CoreError, Dspp};
 use dspp_linalg::{Matrix, Vector};
 use dspp_solver::{
-    relax_lq_slots, solve_lq_fallback, solve_lq_warm_traced, solve_structured, CouplingRow,
-    DenseFallback, DiagRow, FeasibilityReport, IpmSettings, LqProblem, LqSolution, SoftSpec,
-    SolverError, StructuredLq,
+    relax_lq_slots, solve_lq_fallback, solve_structured, CouplingRow, DenseFallback, DiagRow,
+    FeasibilityReport, IpmSettings, LqProblem, LqSolution, SoftSpec, StructuredLq,
 };
 use dspp_telemetry::Recorder;
-
-/// Arc count from which horizons solve on the Schur backend
-/// ([`solve_structured`]); smaller ones expand to a dense [`LqProblem`]
-/// and take the Riccati backend. Below a few hundred arcs the Riccati
-/// recursion is already fast, and keeping every paper-scale instance (4
-/// DCs × 24 cities) on it keeps the paper's figures byte-identical.
-const STRUCTURED_MIN_ARCS: usize = 200;
 
 /// How the recovery solve (the always-feasible relaxation of the horizon
 /// problem) penalizes unserved demand.
@@ -56,7 +48,8 @@ pub struct RecoveryOutcome {
     pub solution: LqSolution,
     /// Unserved demand per horizon period and location,
     /// `demand_slack[t][v]` in demand units, `t = 0` being the first
-    /// predicted period `k+1`.
+    /// predicted period `k+1`: how far the placement falls short of each
+    /// demand row, exactly zero where the demand is covered.
     pub demand_slack: Vec<Vec<f64>>,
     /// Per-period shortfall converted to servers:
     /// `Σ_v demand_slack[t][v] · min_e(a^{lv}·s)` — directly comparable to
@@ -100,10 +93,12 @@ impl RecoveryOutcome {
 /// [`HorizonProblem::capacity_duals`] exploits that layout to extract the
 /// per-DC shadow prices the multi-provider game needs.
 ///
-/// Solves take the Schur backend from 200 arcs on, and the Riccati backend
-/// on [`HorizonProblem::to_lq`] below that, for rate-limited horizons, and
-/// for recovery solves (the last two counted as
-/// `solver.lq.dense_fallback.*` at scale).
+/// Every solve — strict or recovery, at any scale — takes the Schur
+/// backend ([`solve_structured`]), which costs near-linear time in arcs.
+/// Only a reconfiguration rate limit, whose input rows the compact form
+/// does not carry, sends a solve to the Riccati backend on
+/// [`HorizonProblem::to_lq`], counted as
+/// `solver.lq.dense_fallback.rate_limit`.
 #[derive(Debug, Clone)]
 pub struct HorizonProblem {
     slq: StructuredLq,
@@ -385,38 +380,17 @@ impl HorizonProblem {
         warm_us: Option<&[Vector]>,
         telemetry: &Recorder,
     ) -> Result<LqSolution, CoreError> {
-        let sol =
-            if self.slq.state_dim() >= STRUCTURED_MIN_ARCS && self.max_reconfiguration.is_none() {
-                solve_structured(&self.slq, settings, warm_us, telemetry)
-            } else {
-                // At scale, only a rate limit keeps a strict solve dense.
-                self.solve_dense(
-                    &self.to_lq(),
-                    settings,
-                    warm_us,
-                    telemetry,
-                    DenseFallback::RateLimit,
-                )
-            };
+        let sol = match self.max_reconfiguration {
+            None => solve_structured(&self.slq, settings, warm_us, telemetry),
+            Some(_) => solve_lq_fallback(
+                &self.to_lq(),
+                settings,
+                warm_us,
+                telemetry,
+                DenseFallback::RateLimit,
+            ),
+        };
         Ok(sol?)
-    }
-
-    /// Solves a dense expansion of this horizon on the Riccati backend,
-    /// counted as a `why` fallback when the horizon has enough arcs for
-    /// the Schur backend.
-    fn solve_dense(
-        &self,
-        lq: &LqProblem,
-        settings: &IpmSettings,
-        warm_us: Option<&[Vector]>,
-        telemetry: &Recorder,
-        why: DenseFallback,
-    ) -> Result<LqSolution, SolverError> {
-        if self.slq.state_dim() < STRUCTURED_MIN_ARCS {
-            solve_lq_warm_traced(lq, settings, warm_us, telemetry)
-        } else {
-            solve_lq_fallback(lq, settings, warm_us, telemetry, why)
-        }
     }
 
     /// Aggregate feasibility preflight: per period, can the SLA-scaled
@@ -472,46 +446,62 @@ impl HorizonProblem {
             penalties,
             quadratic: recovery.quadratic,
         };
-        // Soften every constrained slot except stage 0, whose only
-        // possible rows are rate limits on u_0 (x_0 is fixed, so it
-        // carries no demand rows to soften).
-        let lq = self.to_lq();
-        let mut soften = vec![true; lq.horizon() + 1];
-        soften[0] = false;
-        let relaxed = relax_lq_slots(&lq, &spec, &soften)?;
-        let warm = warm_us.map(|us| relaxed.extend_warm_start(us));
-        let sol = self.solve_dense(
-            &relaxed.problem,
-            settings,
-            warm.as_deref(),
-            telemetry,
-            DenseFallback::Recovery,
-        )?;
-        let split = relaxed.split_solution(&lq, &sol);
-
-        // Map slot slacks back onto forecast periods: stage j (j ≥ 1)
-        // constrains x_j, covering forecast index j−1; the terminal slot
-        // covers the last forecast index.
-        let w = self.horizon;
-        let nv = self.num_locations;
-        let mut demand_slack = vec![vec![0.0; nv]; w];
-        let mut resource_shortfall = vec![0.0; w];
-        for (t, (slack_row, shortfall)) in demand_slack
-            .iter_mut()
-            .zip(&mut resource_shortfall)
-            .enumerate()
-        {
-            let slot = if t + 1 == w { w } else { t + 1 };
-            let slacks = &split.slacks[slot];
-            for v in 0..nv {
-                let s = if v < slacks.len() { slacks[v] } else { 0.0 };
-                slack_row[v] = s;
-                *shortfall += s * self.resource_per_demand[v];
+        let solution = match self.max_reconfiguration {
+            // Slack enters the compact form as one pseudo-arc per location.
+            None => {
+                let relaxed = self.slq.relax_demand(&spec)?;
+                let nv = self.num_locations;
+                let warm: Option<Vec<Vector>> = warm_us.map(|us| {
+                    us.iter()
+                        .map(|u| {
+                            u.iter()
+                                .copied()
+                                .chain(std::iter::repeat_n(0.0, nv))
+                                .collect()
+                        })
+                        .collect()
+                });
+                let sol = solve_structured(&relaxed, settings, warm.as_deref(), telemetry)?;
+                self.slq.strip_slack(&sol)
             }
-        }
+            // Rate limits stay dense: soften every constrained slot except
+            // stage 0, whose only rows are rate limits on u_0 (x_0 is
+            // fixed, so it carries no demand rows to soften).
+            Some(_) => {
+                let lq = self.to_lq();
+                let mut soften = vec![true; lq.horizon() + 1];
+                soften[0] = false;
+                let relaxed = relax_lq_slots(&lq, &spec, &soften)?;
+                let warm = warm_us.map(|us| relaxed.extend_warm_start(us));
+                let sol = solve_lq_fallback(
+                    &relaxed.problem,
+                    settings,
+                    warm.as_deref(),
+                    telemetry,
+                    DenseFallback::RateLimit,
+                )?;
+                relaxed.split_solution(&lq, &sol).solution
+            }
+        };
+
+        // Shed demand is what the placement leaves unserved: slot t+1
+        // (x_{t+1}) covers forecast period t. Reading it off the demand
+        // rows rather than the slack variables keeps fully served
+        // locations at exactly zero instead of a barrier-sized residue.
+        let (demand_slack, resource_shortfall): (Vec<Vec<f64>>, Vec<f64>) = (1..=self.horizon)
+            .map(|slot| {
+                let unserved = self.slq.group_a_violations(slot, &solution.xs[slot]);
+                let servers: f64 = unserved
+                    .iter()
+                    .zip(&self.resource_per_demand)
+                    .map(|(s, rpd)| s * rpd)
+                    .sum();
+                (unserved.as_slice().to_vec(), servers)
+            })
+            .unzip();
 
         Ok(RecoveryOutcome {
-            solution: split.solution,
+            solution,
             demand_slack,
             resource_shortfall,
         })
@@ -838,6 +828,60 @@ mod tests {
         let dsd = h.demand_duals(&structured);
         for (a, b) in dd.iter().zip(&dsd) {
             assert!((a - b).abs() < 1e-4, "demand duals {dd:?} vs {dsd:?}");
+        }
+    }
+
+    /// The Schur backend on its own, warm-started through a closed loop:
+    /// one uncapacitated DC (the 1e9 sentinel capacity row) serving one
+    /// location, each step warm-started from the previous solution shifted
+    /// by one stage. The shifted guess starts on the demand boundary and
+    /// the sentinel row's barrier weight is ~1e-9 times its dual — the two
+    /// extremes that stall a Schur solve refined against `H` alone; every
+    /// step must be `Optimal` and match the Riccati backend.
+    #[test]
+    fn structured_backend_survives_a_warm_started_closed_loop() {
+        use dspp_solver::{solve_lq_warm, SolveStatus};
+        let p = DsppBuilder::new(1, 1)
+            .service_rate(100.0)
+            .sla_latency(0.060)
+            .latency_rows(vec![vec![0.010]])
+            .reconfiguration_weights(vec![0.02])
+            .price_trace(0, vec![1.0])
+            .build()
+            .unwrap();
+        let demand = [30.0, 60.0, 90.0, 70.0, 40.0, 30.0, 30.0];
+        let ipm = IpmSettings::default();
+        for w in [1, 4] {
+            let mut x0 = Allocation::zeros(&p);
+            let mut warm: Option<Vec<Vector>> = None;
+            for k in 0..5 {
+                let forecast: Vec<f64> = (0..w)
+                    .map(|i| demand[(k + 1 + i).min(demand.len() - 1)])
+                    .collect();
+                let h = HorizonProblem::build(&p, &x0, &[forecast], &[flat(1.0, w)]).unwrap();
+                let s = solve_structured(h.slq(), &ipm, warm.as_deref(), &Recorder::disabled())
+                    .unwrap_or_else(|e| panic!("W={w} step {k}: structured solve failed: {e}"));
+                let d = solve_lq_warm(&h.to_lq(), &ipm, warm.as_deref()).unwrap();
+                assert_eq!(s.status, SolveStatus::Optimal, "W={w} step {k}");
+                assert!(
+                    (s.objective - d.objective).abs() <= 1e-8 * (1.0 + d.objective.abs()),
+                    "W={w} step {k}: objectives {} vs {}",
+                    s.objective,
+                    d.objective
+                );
+                assert!(
+                    s.iterations <= d.iterations + 3,
+                    "W={w} step {k}: {} structured vs {} dense iterations",
+                    s.iterations,
+                    d.iterations
+                );
+                let mut next = x0.arc_values().to_vec();
+                next[0] += s.us[0][0];
+                x0 = Allocation::from_arc_values(&p, next);
+                let mut shifted = s.us[1..].to_vec();
+                shifted.push(Vector::zeros(1));
+                warm = Some(shifted);
+            }
         }
     }
 

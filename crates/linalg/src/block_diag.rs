@@ -7,6 +7,12 @@
 //! blocks of one common dimension, factored in place every interior-point
 //! iteration and solved against long concatenated vectors.
 //!
+//! Every block is Jacobi-equilibrated (scaled to a unit diagonal) before
+//! it is factored: interior-point barrier weights put
+//! entries many decades apart on one block's diagonal, and a pivot
+//! tolerance relative to the unscaled norm would reject the small pivots
+//! of a perfectly well-posed block.
+//!
 //! Like [`crate::Cholesky`] (and the solver crate's Riccati workspace), all
 //! storage is allocated once in [`BlockDiag::new`]; `refactor` and the
 //! solve methods are allocation-free.
@@ -37,9 +43,12 @@ use crate::{Cholesky, LinalgError, Matrix, Vector};
 /// ```
 #[derive(Debug, Clone)]
 pub struct BlockDiag {
-    /// One Cholesky factor per block, each of dimension `block_dim`.
+    /// One Cholesky factor per block (of the equilibrated block), each of
+    /// dimension `block_dim`.
     blocks: Vec<Cholesky>,
     block_dim: usize,
+    /// Jacobi scale factors `1/√a_jj`, concatenated like the blocks.
+    scales: Vec<f64>,
     /// Scratch column for [`BlockDiag::inverse_block_into`].
     col: Vector,
     /// All per-block refactors of the last [`BlockDiag::refactor`] succeeded.
@@ -50,10 +59,10 @@ impl BlockDiag {
     /// Allocates workspace for `count` blocks of dimension `block_dim`;
     /// no factorization happens until [`BlockDiag::refactor`].
     pub fn new(count: usize, block_dim: usize) -> Self {
-        let identity = Cholesky::factor(&Matrix::identity(block_dim)).expect("identity is PD");
         BlockDiag {
-            blocks: vec![identity; count],
+            blocks: vec![Cholesky::unfactored(block_dim); count],
             block_dim,
+            scales: vec![1.0; count * block_dim],
             col: Vector::zeros(block_dim),
             valid: false,
         }
@@ -79,8 +88,10 @@ impl BlockDiag {
         self.valid
     }
 
-    /// Factors every block of `mats` (each `block_dim × block_dim`, plus
-    /// `reg · I`) into the existing storage.
+    /// Factors every block of `mats` (each `block_dim × block_dim`) into
+    /// the existing storage: each block is equilibrated to a unit diagonal
+    /// and factored as `D A D + reg · I`, `D = diag(1/√a_jj)` (a unit scale
+    /// where `a_jj` is not positive), so `reg` is relative to each row.
     ///
     /// On error the stored factors are unspecified; [`BlockDiag::is_valid`]
     /// reports `false` and the solve methods panic until a later `refactor`
@@ -102,13 +113,17 @@ impl BlockDiag {
                 self.blocks.len()
             )));
         }
+        let bd = self.block_dim;
         for (i, (chol, mat)) in self.blocks.iter_mut().zip(mats).enumerate() {
-            chol.refactor(mat, reg).map_err(|e| match e {
-                LinalgError::NotPositiveDefinite { pivot } => LinalgError::NotPositiveDefinite {
-                    pivot: i * self.block_dim + pivot,
-                },
-                other => other,
-            })?;
+            chol.refactor_equilibrated(mat, &mut self.scales[i * bd..(i + 1) * bd], reg)
+                .map_err(|e| match e {
+                    LinalgError::NotPositiveDefinite { pivot } => {
+                        LinalgError::NotPositiveDefinite {
+                            pivot: i * self.block_dim + pivot,
+                        }
+                    }
+                    other => other,
+                })?;
         }
         self.valid = true;
         Ok(())
@@ -121,8 +136,21 @@ impl BlockDiag {
     /// Panics if the last refactor failed, `i` is out of range, or `b` has
     /// the wrong length.
     pub fn solve_block_in_place(&self, i: usize, b: &mut Vector) {
+        self.solve_block_slice(i, b.as_mut_slice());
+    }
+
+    /// [`BlockDiag::solve_block_in_place`] on a raw slice.
+    fn solve_block_slice(&self, i: usize, b: &mut [f64]) {
         assert!(self.valid, "block-diag solve: last refactor failed");
-        self.blocks[i].solve_slice_in_place(b.as_mut_slice());
+        let bd = self.block_dim;
+        let scales = &self.scales[i * bd..(i + 1) * bd];
+        for (v, d) in b.iter_mut().zip(scales) {
+            *v *= d;
+        }
+        self.blocks[i].solve_slice_in_place(b);
+        for (v, d) in b.iter_mut().zip(scales) {
+            *v *= d;
+        }
     }
 
     /// Solves the whole block-diagonal system against a concatenated vector
@@ -136,8 +164,8 @@ impl BlockDiag {
         assert!(self.valid, "block-diag solve: last refactor failed");
         assert_eq!(b.len(), self.dim(), "block-diag solve: rhs length");
         let bd = self.block_dim;
-        for (i, chol) in self.blocks.iter().enumerate() {
-            chol.solve_slice_in_place(&mut b.as_mut_slice()[i * bd..(i + 1) * bd]);
+        for i in 0..self.blocks.len() {
+            self.solve_block_slice(i, &mut b.as_mut_slice()[i * bd..(i + 1) * bd]);
         }
     }
 
@@ -160,14 +188,16 @@ impl BlockDiag {
             out.rows(),
             out.cols()
         );
+        let mut col = std::mem::replace(&mut self.col, Vector::zeros(0));
         for j in 0..bd {
-            self.col.fill(0.0);
-            self.col[j] = 1.0;
-            self.blocks[i].solve_slice_in_place(self.col.as_mut_slice());
+            col.fill(0.0);
+            col[j] = 1.0;
+            self.solve_block_in_place(i, &mut col);
             for r in 0..bd {
-                out[(r, j)] = self.col[r];
+                out[(r, j)] = col[r];
             }
         }
+        self.col = col;
     }
 }
 

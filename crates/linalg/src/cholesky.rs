@@ -49,12 +49,17 @@ impl Cholesky {
     ///
     /// Same conditions as [`Cholesky::factor`].
     pub fn factor_regularized(a: &Matrix, reg: f64) -> Result<Self, LinalgError> {
-        let mut chol = Cholesky {
-            l: Matrix::zeros(a.rows(), a.rows()),
-            valid: false,
-        };
+        let mut chol = Cholesky::unfactored(a.rows());
         chol.refactor(a, reg)?;
         Ok(chol)
+    }
+
+    /// Storage for an `n × n` factor, invalid until the first refactor.
+    pub(crate) fn unfactored(n: usize) -> Self {
+        Cholesky {
+            l: Matrix::zeros(n, n),
+            valid: false,
+        }
     }
 
     /// Re-factors `a + reg * I` into this factorization's existing storage
@@ -71,6 +76,60 @@ impl Cholesky {
     /// [`LinalgError::DimensionMismatch`] if `a`'s dimension differs from
     /// the existing factor's.
     pub fn refactor(&mut self, a: &Matrix, reg: f64) -> Result<(), LinalgError> {
+        self.check_dim(a)?;
+        // Scale-aware tolerance for pivot positivity.
+        let scale = a.norm_inf().max(reg).max(1.0);
+        self.factor_entries(|i, j| a[(i, j)], scale, reg)
+    }
+
+    /// Re-factors the Jacobi-*equilibrated* matrix `D·a·D + reg·I`, with
+    /// `D = diag(d)`, `d_i = 1/√a_ii` (1 where `a_ii` is not positive),
+    /// writing `d` and reading the scaled entries on the fly (no scaled
+    /// copy of `a` is formed).
+    ///
+    /// The scaled matrix has a unit diagonal, so the pivot tolerance —
+    /// relative to the matrix norm — means the same for every row however
+    /// unevenly `a` is scaled, and `reg` is relative to each row. Solving
+    /// `a x = b` then takes `x = D·(DaD)⁻¹·(D b)`; the caller applies `D`
+    /// on both sides.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cholesky::refactor`], plus
+    /// [`LinalgError::DimensionMismatch`] if `d` does not match `a`.
+    pub(crate) fn refactor_equilibrated(
+        &mut self,
+        a: &Matrix,
+        d: &mut [f64],
+        reg: f64,
+    ) -> Result<(), LinalgError> {
+        self.check_dim(a)?;
+        let n = a.rows();
+        if d.len() != n {
+            return Err(LinalgError::DimensionMismatch(format!(
+                "cholesky refactor_equilibrated: {} scale factors for a {n}x{n} matrix",
+                d.len()
+            )));
+        }
+        for (i, di) in d.iter_mut().enumerate() {
+            let aii = a[(i, i)];
+            *di = if aii > 0.0 && aii.is_finite() {
+                1.0 / aii.sqrt()
+            } else {
+                1.0
+            };
+        }
+        let d = &*d;
+        let mut norm = 0.0f64;
+        for i in 0..n {
+            let row: f64 = a.row(i).iter().zip(d).map(|(v, dj)| (v * dj).abs()).sum();
+            norm = norm.max(row * d[i].abs());
+        }
+        let scale = norm.max(reg).max(1.0);
+        self.factor_entries(|i, j| d[i] * a[(i, j)] * d[j], scale, reg)
+    }
+
+    fn check_dim(&self, a: &Matrix) -> Result<(), LinalgError> {
         if !a.is_square() || a.rows() != self.l.rows() {
             return Err(LinalgError::DimensionMismatch(format!(
                 "cholesky refactor: matrix is {}x{}, factor is {}x{}",
@@ -80,14 +139,23 @@ impl Cholesky {
                 self.l.rows()
             )));
         }
+        Ok(())
+    }
+
+    /// The factorization loop over `entry(i, j) + reg·δ_ij` (lower triangle
+    /// only), with pivots required to exceed `scale · 1e-14`.
+    fn factor_entries(
+        &mut self,
+        entry: impl Fn(usize, usize) -> f64,
+        scale: f64,
+        reg: f64,
+    ) -> Result<(), LinalgError> {
         self.valid = false;
-        let n = a.rows();
+        let n = self.l.rows();
         let l = &mut self.l;
-        // Scale-aware tolerance for pivot positivity.
-        let scale = a.norm_inf().max(reg).max(1.0);
         let tol = scale * 1e-14;
         for j in 0..n {
-            let mut d = a[(j, j)] + reg;
+            let mut d = entry(j, j) + reg;
             for k in 0..j {
                 let ljk = l[(j, k)];
                 d -= ljk * ljk;
@@ -102,7 +170,7 @@ impl Cholesky {
             let dsqrt = d.sqrt();
             l[(j, j)] = dsqrt;
             for i in (j + 1)..n {
-                let mut s = a[(i, j)];
+                let mut s = entry(i, j);
                 for k in 0..j {
                     s -= l[(i, k)] * l[(j, k)];
                 }
@@ -258,6 +326,37 @@ mod tests {
         let a = Matrix::from_rows(&[&[1.0, 1.0], &[1.0, 1.0]]).unwrap();
         assert!(Cholesky::factor(&a).is_err());
         assert!(Cholesky::factor_regularized(&a, 1e-6).is_ok());
+    }
+
+    #[test]
+    fn equilibration_accepts_rows_many_decades_apart() {
+        // An inverse barrier weight of 1e25 next to one of 1e-12: SPD, but
+        // the norm-relative pivot tolerance (1e11) rejects the small pivot
+        // until the diagonal is scaled to one.
+        let a = Matrix::from_rows(&[&[1e25, 1e6], &[1e6, 1e-12]]).unwrap();
+        assert!(Cholesky::factor(&a).is_err());
+        let mut d = [0.0; 2];
+        let mut f = Cholesky::unfactored(2);
+        f.refactor_equilibrated(&a, &mut d, 0.0).unwrap();
+        assert_eq!(d, [1e25f64.sqrt().recip(), 1e-12f64.sqrt().recip()]);
+        // Solve a x = b as x = D (DaD)⁻¹ D b, for an x whose scaled
+        // components are O(1).
+        let x_true = [2.0 * d[0], -3.0 * d[1]];
+        let mut x: Vec<f64> = (0..2)
+            .map(|i| d[i] * (a[(i, 0)] * x_true[0] + a[(i, 1)] * x_true[1]))
+            .collect();
+        f.solve_slice_in_place(&mut x);
+        for i in 0..2 {
+            let xi = d[i] * x[i];
+            assert!(
+                (xi - x_true[i]).abs() <= 1e-12 * x_true[i].abs(),
+                "x[{i}] = {xi}"
+            );
+        }
+        assert!(matches!(
+            f.refactor_equilibrated(&a, &mut d[..1], 0.0),
+            Err(LinalgError::DimensionMismatch(_))
+        ));
     }
 
     #[test]

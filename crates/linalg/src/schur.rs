@@ -5,6 +5,12 @@
 //! that system's storage — an accumulation matrix, its Cholesky factor,
 //! and a validity flag — so a solver can rebuild and refactor it every
 //! interior-point iteration without allocating.
+//!
+//! The system is Jacobi-equilibrated before it is factored: the diagonal
+//! of an interior-point Schur complement carries inverse barrier weights
+//! from `~1e-14` (an active row) to `~1e25` (a slack "uncapacitated"
+//! row), and only a unit-diagonal scaling lets one pivot tolerance serve
+//! all of them.
 
 use crate::{Cholesky, LinalgError, Matrix, Vector};
 
@@ -35,6 +41,8 @@ pub struct SchurComplement {
     mat: Matrix,
     /// Cholesky factor of the last successful [`SchurComplement::refactor`].
     chol: Cholesky,
+    /// Jacobi scale factors of the last refactor.
+    scales: Vec<f64>,
     /// Fraction of structurally nonzero entries at the last refactor.
     fill: f64,
     valid: bool,
@@ -46,7 +54,8 @@ impl SchurComplement {
     pub fn new(dim: usize) -> Self {
         SchurComplement {
             mat: Matrix::zeros(dim, dim),
-            chol: Cholesky::factor(&Matrix::identity(dim)).expect("identity is PD"),
+            chol: Cholesky::unfactored(dim),
+            scales: vec![1.0; dim],
             fill: 0.0,
             valid: false,
         }
@@ -109,7 +118,9 @@ impl SchurComplement {
         self.fill
     }
 
-    /// Factors the accumulated matrix (plus `reg · I`).
+    /// Factors the equilibrated accumulated matrix `D S D + reg · I`,
+    /// `D = diag(1/√s_ii)` (a unit scale where `s_ii` is not positive), so
+    /// `reg` is a regularization *relative* to each row's own magnitude.
     ///
     /// On error the factor is unspecified; [`SchurComplement::is_valid`]
     /// reports `false` and [`SchurComplement::solve_in_place`] panics until
@@ -129,7 +140,8 @@ impl SchurComplement {
         } else {
             self.fill = 0.0;
         }
-        self.chol.refactor(&self.mat, reg)?;
+        self.chol
+            .refactor_equilibrated(&self.mat, &mut self.scales, reg)?;
         self.valid = true;
         Ok(())
     }
@@ -155,7 +167,14 @@ impl SchurComplement {
     /// wrong length.
     pub fn solve_in_place(&self, b: &mut Vector) {
         assert!(self.valid, "schur solve: system is not factored");
+        assert_eq!(b.len(), self.scales.len(), "schur solve: rhs length");
+        for (v, d) in b.iter_mut().zip(&self.scales) {
+            *v *= d;
+        }
         self.chol.solve_in_place(b);
+        for (v, d) in b.iter_mut().zip(&self.scales) {
+            *v *= d;
+        }
     }
 }
 
@@ -198,6 +217,23 @@ mod tests {
         let mut b = Vector::from(vec![2.0, 3.0]);
         s.solve_in_place(&mut b);
         assert!((b[0] - 2.0).abs() < 1e-12 && (b[1] - 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn regularization_is_relative_to_each_row() {
+        // Diagonal 1e25 (an inactive "uncapacitated" row) next to 1e-14
+        // (an active one): equilibrated, a 1e-9 regularization perturbs
+        // both rows by 1e-9 relative, and the small one survives.
+        let mut s = SchurComplement::new(2);
+        s.add_diag_entry(0, 1e25);
+        s.add_diag_entry(1, 1e-14);
+        s.refactor(1e-9).unwrap();
+        let mut b = Vector::from(vec![1e25, 1e-14]);
+        s.solve_in_place(&mut b);
+        assert!(
+            (b[0] - 1.0).abs() < 1e-8 && (b[1] - 1.0).abs() < 1e-8,
+            "{b:?}"
+        );
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //! * [`StructuredLq`] / [`solve_structured`] — the compact form of the
 //!   DSPP horizon (identity dynamics, diagonal input costs, sparse demand
 //!   and capacity rows), solved by the *same* interior-point loop with
-//!   Schur-condensed Newton steps whose cost is near-linear in arcs. This
-//!   is what makes 100 DCs × 1000 locations tractable;
+//!   Schur-condensed Newton steps whose cost is near-linear in arcs. It
+//!   solves every DSPP controller horizon — 100 DCs × 1000 locations as
+//!   well as the paper's 4 × 24 — including recovery solves, whose slack
+//!   [`StructuredLq::relax_demand`] adds as pseudo-arcs;
 //!   [`StructuredLq::to_lq`] expands it for the Riccati backend.
 //!
 //! Both stage-structured entry points share one Mehrotra loop —

@@ -89,6 +89,10 @@ pub(crate) trait KktSystem {
         step: &mut Step,
         telemetry: &Recorder,
     );
+    /// Overwrites the dual step `dz` of slot `k` (`1..=N`, already
+    /// recovered from the trajectory step) on rows whose `Δz` the last
+    /// [`KktSystem::newton`] solved for directly. Default: none.
+    fn dual_step(&self, _k: usize, _dz: &mut Vector) {}
 }
 
 /// The trajectory part of one Newton direction.
@@ -114,30 +118,25 @@ impl Step {
     }
 }
 
-/// Why a horizon large enough for [`solve_structured`] runs on the dense
-/// Riccati backend instead; see [`solve_lq_fallback`].
+/// Why a DSPP horizon runs on the dense Riccati backend instead of
+/// [`solve_structured`]; see [`solve_lq_fallback`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DenseFallback {
-    /// A recovery solve: the relaxation's slack columns are not part of
-    /// the Schur system.
-    Recovery,
     /// Reconfiguration rate limits: input rows are not part of the Schur
     /// system.
     RateLimit,
 }
 
 impl DenseFallback {
-    /// The `backend_reason` span attribute (`recovery` / `rate_limit`).
+    /// The `backend_reason` span attribute (`rate_limit`).
     pub fn reason(self) -> &'static str {
         match self {
-            DenseFallback::Recovery => "recovery",
             DenseFallback::RateLimit => "rate_limit",
         }
     }
 
     fn counter(self) -> &'static str {
         match self {
-            DenseFallback::Recovery => "solver.lq.dense_fallback.recovery",
             DenseFallback::RateLimit => "solver.lq.dense_fallback.rate_limit",
         }
     }
@@ -236,8 +235,9 @@ pub fn solve_lq_traced(
 
 /// [`solve_lq_warm`] with metrics emitted to `telemetry`.
 ///
-/// Per attempt it increments `solver.lq.solves` (plus
-/// `solver.lq.warm_starts` when a guess is supplied) and one
+/// Per attempt it increments `solver.lq.solves` and
+/// `solver.lq.backend.dense` (plus `solver.lq.warm_starts` when a guess
+/// is supplied) and one
 /// `solver.lq.status.*` tally, and observes `solver.lq.iterations`,
 /// `solver.lq.solve_seconds`, per-iteration
 /// `solver.lq.riccati_factor_seconds` / `solver.lq.riccati_solve_seconds`,
@@ -250,16 +250,19 @@ pub fn solve_lq_warm_traced(
     warm_us: Option<&[Vector]>,
     telemetry: &Recorder,
 ) -> Result<LqSolution, SolverError> {
-    trace_lq_solve(telemetry, warm_us.is_some(), || {
-        drive(RiccatiKkt::new(problem), settings, warm_us, telemetry, None)
-    })
+    trace_lq_solve(
+        telemetry,
+        "solver.lq.backend.dense",
+        warm_us.is_some(),
+        || drive(RiccatiKkt::new(problem), settings, warm_us, telemetry, None),
+    )
 }
 
 /// [`solve_lq_warm_traced`] for a horizon that would run on
 /// [`solve_structured`] but for `why`: additionally increments
-/// `solver.lq.dense_fallback.{recovery,rate_limit}` and tags the
-/// `solver.lq.solve` span with `backend_reason`, so the dense `O(W·n³)`
-/// solves at scale are counted rather than silent.
+/// `solver.lq.dense_fallback.rate_limit` and tags the `solver.lq.solve`
+/// span with `backend_reason`, so every dense `O(W·n³)` horizon solve is
+/// counted rather than silent.
 ///
 /// # Errors
 ///
@@ -272,15 +275,20 @@ pub fn solve_lq_fallback(
     why: DenseFallback,
 ) -> Result<LqSolution, SolverError> {
     telemetry.incr(why.counter(), 1);
-    trace_lq_solve(telemetry, warm_us.is_some(), || {
-        drive(
-            RiccatiKkt::new(problem),
-            settings,
-            warm_us,
-            telemetry,
-            Some(why.reason()),
-        )
-    })
+    trace_lq_solve(
+        telemetry,
+        "solver.lq.backend.dense",
+        warm_us.is_some(),
+        || {
+            drive(
+                RiccatiKkt::new(problem),
+                settings,
+                warm_us,
+                telemetry,
+                Some(why.reason()),
+            )
+        },
+    )
 }
 
 /// Solves a compact [`StructuredLq`] with Schur-condensed Newton steps.
@@ -293,7 +301,8 @@ pub fn solve_lq_fallback(
 /// vectors of the arc dimension), as in [`solve_lq_warm`].
 ///
 /// Emits the `solver.lq.*` catalogue of [`solve_lq_warm_traced`] with
-/// `schur_*` in place of the `riccati_*` timings, plus the
+/// `solver.lq.backend.structured` and `schur_*` in place of
+/// `solver.lq.backend.dense` and the `riccati_*` timings, plus the
 /// `solver.lq.schur_factor` counter (one per successful factorization) and
 /// the `solver.lq.schur_block_size`, `solver.lq.schur_dense_dim` and
 /// `solver.lq.schur_fill` observations. Pass [`Recorder::disabled`] for
@@ -309,16 +318,21 @@ pub fn solve_structured(
     warm_us: Option<&[Vector]>,
     telemetry: &Recorder,
 ) -> Result<LqSolution, SolverError> {
-    trace_lq_solve(telemetry, warm_us.is_some(), || {
-        drive(SchurKkt::new(slq), settings, warm_us, telemetry, None)
-    })
+    trace_lq_solve(
+        telemetry,
+        "solver.lq.backend.structured",
+        warm_us.is_some(),
+        || drive(SchurKkt::new(slq), settings, warm_us, telemetry, None),
+    )
 }
 
 /// Shared metrics wrapper for both KKT backends: counts the solve (and
-/// warm start), times it, and tallies the outcome status, so the
-/// `solver.lq.*` catalogue reads identically whichever backend ran.
+/// warm start) overall and under its `backend_counter`, times it, and
+/// tallies the outcome status, so the `solver.lq.*` catalogue reads
+/// identically whichever backend ran.
 fn trace_lq_solve(
     telemetry: &Recorder,
+    backend_counter: &'static str,
     warm: bool,
     solve: impl FnOnce() -> Result<LqSolution, SolverError>,
 ) -> Result<LqSolution, SolverError> {
@@ -326,6 +340,7 @@ fn trace_lq_solve(
         return solve();
     }
     telemetry.incr("solver.lq.solves", 1);
+    telemetry.incr(backend_counter, 1);
     if warm {
         telemetry.incr("solver.lq.warm_starts", 1);
     }
@@ -917,6 +932,7 @@ fn newton_step<K: KktSystem>(
             dss[k][i] = -r_ineqs[k][i] - dss[k][i];
             dzs[k][i] = (-r_cs[k][i] - zs[k][i] * dss[k][i]) / ss[k][i];
         }
+        kkt.dual_step(k, &mut dzs[k]);
     }
 }
 

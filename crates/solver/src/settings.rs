@@ -23,7 +23,8 @@
 /// Which KKT backend runs is not a setting: the caller picks it by
 /// calling [`solve_lq`] on a dense [`LqProblem`] or [`solve_structured`] on
 /// a compact [`StructuredLq`] (the DSPP horizon builder in `dspp-core`
-/// does so by arc count).
+/// takes the compact form unless a reconfiguration rate limit needs the
+/// dense one).
 ///
 /// [`solve_qp`]: crate::solve_qp
 /// [`solve_lq`]: crate::solve_lq

@@ -5,40 +5,69 @@
 //! 1000 locations (thousands of arcs) is minutes per solve and gigabytes
 //! of stage matrices. This module exploits what [`StructuredLq`] records:
 //! after eliminating inputs (`Δu_k = Δx_{k+1} − Δx_k`) and costates, the
-//! condensed Newton system `H y = b` over `y = (Δx_1, …, Δx_W)` has
+//! condensed Newton system over `y = (Δx_1, …, Δx_W)` is
 //!
 //! ```text
-//! H = T + Gᵀ W_c G
+//! H y = b,      H = T + Gᵀ W_c G,
 //! ```
 //!
 //! where `T` is block-diagonal over *arcs* — one `W×W` tridiagonal chain
-//! per arc, carrying the input Hessians, regularization, and the barrier
-//! weights of the single-arc rows — and `G` holds only the aggregate
-//! coupling rows (demand and capacity), `W_c` their barrier weights. By
-//! the Woodbury identity,
+//! per arc, carrying the input Hessians, regularization, any diagonal
+//! state Hessian and the barrier weights of the single-arc rows — and `G`
+//! holds only the aggregate coupling rows (demand and capacity), `W_c`
+//! their barrier weights. This module solves the equivalent *augmented*
+//! system over `y` and the coupling-row multipliers `v`,
 //!
 //! ```text
-//! y = T⁻¹b − T⁻¹ Gᵀ S⁻¹ G T⁻¹ b,      S = W_c⁻¹ + G T⁻¹ Gᵀ,
+//! [ T   Gᵀ    ] [y]   [b]
+//! [ G  −W_c⁻¹ ] [v] = [0],      S = W_c⁻¹ + G T⁻¹ Gᵀ,
 //! ```
 //!
-//! and `S` itself is a two-block "arrow": demand rows have disjoint arc
-//! supports (one row per location), capacity rows likewise (one per data
-//! center), so `S = [[D_A, F], [Fᵀ, D_B]]` with block-diagonal `D_A`,
-//! `D_B` and sparse cross blocks `F`. Eliminating the (many) demand rows
-//! leaves one dense SPD system of dimension `W · #capacity rows` — a few
-//! hundred even at 100× scale — factored by
-//! [`dspp_linalg::SchurComplement`]. Per-iteration cost is `O(n·W³ +
-//! (W·L)³)` for `L` data centers: near-linear in arcs.
+//! by eliminating `y`: `S v = G T⁻¹ b`, `y = T⁻¹(b − Gᵀ v)`. `S` itself is
+//! a two-block "arrow": demand rows have disjoint arc supports (one row
+//! per location), capacity rows likewise (one per data center), so
+//! `S = [[D_A, F], [Fᵀ, D_B]]` with block-diagonal `D_A`, `D_B` and sparse
+//! cross blocks `F`. Eliminating the (many) demand rows leaves one dense
+//! SPD system of dimension `W · #capacity rows` — a few hundred even at
+//! 100× scale — factored by [`dspp_linalg::SchurComplement`].
+//! Per-iteration cost is `O(n·W³ + (W·L)³)` for `L` data centers:
+//! near-linear in arcs.
+//!
+//! Numerics. Barrier weights span ~40 decades within one solve: a demand
+//! row a warm start begins on, or a dark data center's zero-capacity row
+//! and the non-negativity rows it pins, grow to `w = z/s ~ 1e14`, while
+//! the "uncapacitated" 1e9 sentinel capacity row sits at `w ~ 1e-24`.
+//! Three choices keep every Newton step accurate there:
+//!
+//! * the chains, the demand blocks and the capacity system are
+//!   Jacobi-equilibrated before Cholesky, so pivots are judged relative
+//!   to their own row (inverse weights from `1e-14` to `1e25` share one
+//!   diagonal), and the regularization of `S` is relative to its rows;
+//! * stiff rows stay in the augmented system instead of being folded
+//!   into `H`: a row of weight `w` in `H` makes it ill-conditioned by `w`
+//!   (fatally so next to a recovery slack's tiny Hessian), while in `S`
+//!   it only contributes a vanishing `1/w`;
+//! * iterative refinement runs on the augmented system, whose residual is
+//!   commensurate with the data. The residual of `H y = b` carries every
+//!   stiff row's weight as a factor, so refining against it chases
+//!   amplified roundoff and diverges.
 //!
 //! This module is only the factorization and the Newton solve: the
 //! interior-point iteration around it is the shared loop in `lq_ipm`,
 //! reached through [`solve_structured`](crate::solve_structured).
 
 use crate::lq_ipm::{KktSystem, Step};
-use crate::structured::StructuredLq;
+use crate::structured::{StructuredLq, NO_ROW};
 use crate::SolverError;
 use dspp_linalg::{BlockDiag, LinalgError, Matrix, SchurComplement, Vector};
 use dspp_telemetry::Recorder;
+
+/// Refinement passes on the augmented system after the first solve.
+const MAX_REFINEMENT: usize = 3;
+
+/// Refinement stops once the augmented solve's componentwise backward
+/// error is below this.
+const REFINEMENT_TOL: f64 = 1e-14;
 
 fn zero_mat(m: &mut Matrix) {
     for i in 0..m.rows() {
@@ -61,12 +90,18 @@ struct APair {
 /// factorization workspace for the condensed system, rebuilt by
 /// [`SchurKkt::refactor`] every interior-point iteration without
 /// allocating.
+///
+/// `y` vectors are arc-major (arc `e`'s chain occupies `[e·W, (e+1)·W)`);
+/// multiplier vectors `v` hold the group-A rows' `W` slots first, then the
+/// group-B rows'.
 pub(crate) struct SchurKkt<'a> {
     slq: &'a StructuredLq,
     n: usize,
     w: usize,
-    /// Per arc: the single-arc rows touching it (row index, coefficient).
-    diag_by_arc: Vec<Vec<(usize, f64)>>,
+    /// Single-arc rows per arc: arc `e`'s `(row, coefficient)` pairs are
+    /// `diag[diag_start[e]..diag_start[e + 1]]`.
+    diag_start: Vec<usize>,
+    diag: Vec<(usize, f64)>,
     /// Per-arc `W×W` chain matrices and their block-Cholesky factors.
     t_mats: Vec<Matrix>,
     t_blocks: BlockDiag,
@@ -82,11 +117,19 @@ pub(crate) struct SchurKkt<'a> {
     // --- scratch ---
     tmp_mat: Matrix,
     col: Vector,
-    h_a: Vector,
-    u_b: Vector,
+    v_b: Vector,
     corr: Vector,
-    rhs_copy: Vector,
-    resid: Vector,
+    /// Right-hand side `(b, c)` of the augmented solve.
+    rhs1: Vector,
+    rhs2: Vector,
+    /// Multipliers of the augmented solve, the refinement residuals and
+    /// their scale, and the last refinement correction.
+    v: Vector,
+    r1: Vector,
+    r2: Vector,
+    r_scale: Vector,
+    dy: Vector,
+    dv: Vector,
     /// Modified state gradients `q̂_k` and the condensed right-hand side.
     q_hats: Vec<Vector>,
     y: Vector,
@@ -100,9 +143,18 @@ impl<'a> SchurKkt<'a> {
     pub fn new(slq: &'a StructuredLq) -> Self {
         let n = slq.n;
         let w = slq.w;
-        let mut diag_by_arc: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+        let mut diag_start = vec![0; n + 1];
         for dr in &slq.diag_rows {
-            diag_by_arc[dr.arc].push((dr.row, dr.coeff));
+            diag_start[dr.arc + 1] += 1;
+        }
+        for e in 0..n {
+            diag_start[e + 1] += diag_start[e];
+        }
+        let mut next = diag_start.clone();
+        let mut diag = vec![(0, 0.0); slq.diag_rows.len()];
+        for dr in &slq.diag_rows {
+            diag[next[dr.arc]] = (dr.row, dr.coeff);
+            next[dr.arc] += 1;
         }
         let pairs = slq
             .group_a
@@ -113,7 +165,7 @@ impl<'a> SchurKkt<'a> {
                     .iter()
                     .filter_map(|&(e, _)| {
                         let (jb, _) = slq.arc_b[e];
-                        (jb != crate::structured::NO_ROW).then_some(jb)
+                        (jb != NO_ROW).then_some(jb)
                     })
                     .collect();
                 jbs.sort_unstable();
@@ -133,7 +185,8 @@ impl<'a> SchurKkt<'a> {
             slq,
             n,
             w,
-            diag_by_arc,
+            diag_start,
+            diag,
             t_mats: vec![Matrix::zeros(w, w); n],
             t_blocks: BlockDiag::new(n, w),
             t_invs: vec![Matrix::zeros(w, w); n],
@@ -143,11 +196,16 @@ impl<'a> SchurKkt<'a> {
             s_cap: SchurComplement::new(nb * w),
             tmp_mat: Matrix::zeros(w, w),
             col: Vector::zeros(w),
-            h_a: Vector::zeros(na * w),
-            u_b: Vector::zeros(nb * w),
+            v_b: Vector::zeros(nb * w),
             corr: Vector::zeros(n * w),
-            rhs_copy: Vector::zeros(n * w),
-            resid: Vector::zeros(n * w),
+            rhs1: Vector::zeros(n * w),
+            rhs2: Vector::zeros((na + nb) * w),
+            v: Vector::zeros((na + nb) * w),
+            r1: Vector::zeros(n * w),
+            r2: Vector::zeros((na + nb) * w),
+            r_scale: Vector::zeros(n * w),
+            dy: Vector::zeros(n * w),
+            dv: Vector::zeros((na + nb) * w),
             q_hats: vec![Vector::zeros(n); w + 1],
             y: Vector::zeros(n * w),
             reg: 0.0,
@@ -166,21 +224,22 @@ impl<'a> SchurKkt<'a> {
         let slq = self.slq;
         let w = self.w;
         // Per-arc tridiagonal chains: T_e = Σ_k R̃_k (y_{k+1}−y_k)² plus
-        // the diagonal barrier terms of the single-arc rows.
+        // the diagonal state Hessian and the diagonal barrier terms of the
+        // single-arc rows.
         for e in 0..self.n {
             let m = &mut self.t_mats[e];
             zero_mat(m);
             #[allow(clippy::needless_range_loop)] // `k` is a stage index into several arrays
             for k in 1..=w {
                 let i = k - 1;
-                let mut d = slq.r_diags[k - 1][e] + reg;
+                let mut d = slq.r_diags[k - 1][e] + reg + slq.q_diag[e];
                 if k < w {
                     let rt = slq.r_diags[k][e] + reg;
                     d += rt;
                     m[(i, i + 1)] = -rt;
                     m[(i + 1, i)] = -rt;
                 }
-                for &(row, c) in &self.diag_by_arc[e] {
+                for &(row, c) in &self.diag[self.diag_start[e]..self.diag_start[e + 1]] {
                     d += ws[k][row] * c * c;
                 }
                 m[(i, i)] = d;
@@ -247,76 +306,72 @@ impl<'a> SchurKkt<'a> {
         self.s_cap.refactor(reg)
     }
 
-    /// Solves `H y = b` in place (`y` in arc-major layout: arc `e`'s
-    /// chain occupies `[e·W, (e+1)·W)`), using the last successful
-    /// [`SchurKkt::refactor`].
-    fn solve_in_place(&mut self, y: &mut Vector) {
+    /// Solves the augmented system `[[T, Gᵀ], [G, −W_c⁻¹]] [y; v] = [r₁; r₂]`
+    /// in place — `y` holds `r₁` on entry and `y` on exit, `v` holds `r₂`
+    /// on entry and `v` on exit — using the last successful
+    /// [`SchurKkt::refactor`]. With `r₂ = 0` this is `H y = r₁`.
+    fn solve_in_place(&mut self, y: &mut Vector, v: &mut Vector) {
         let slq = self.slq;
         let w = self.w;
-        // g = T⁻¹ b.
+        let na = slq.group_a.len();
+        // g = T⁻¹ r₁, then the right-hand side of S v = G g − r₂.
         self.t_blocks.solve_in_place(y);
-        // h = D_A⁻¹ (G_A g).
-        for (ja, cr) in slq.group_a.iter().enumerate() {
-            for i in 0..w {
-                self.col[i] = 0.0;
-            }
-            for &(e, c) in &cr.entries {
-                for i in 0..w {
-                    self.col[i] += c * y[e * w + i];
-                }
-            }
-            self.a_blocks.solve_block_in_place(ja, &mut self.col);
-            for i in 0..w {
-                self.h_a[ja * w + i] = self.col[i];
-            }
-        }
-        // rhs_B = G_B g − Fᵀ h.
-        for (jb, cr) in slq.group_b.iter().enumerate() {
+        for (j, cr) in slq.group_a.iter().chain(&slq.group_b).enumerate() {
             for i in 0..w {
                 let mut acc = 0.0;
                 for &(e, c) in &cr.entries {
                     acc += c * y[e * w + i];
                 }
-                self.u_b[jb * w + i] = acc;
+                v[j * w + i] = acc - v[j * w + i];
             }
         }
+        // Demand rows: h = D_A⁻¹ h_A (in place in v's group-A part).
+        for ja in 0..na {
+            for i in 0..w {
+                self.col[i] = v[ja * w + i];
+            }
+            self.a_blocks.solve_block_in_place(ja, &mut self.col);
+            for i in 0..w {
+                v[ja * w + i] = self.col[i];
+            }
+        }
+        // Capacity rows: S_B v_B = h_B − Fᵀ h.
         for (ja, prs) in self.pairs.iter().enumerate() {
             for p in prs {
                 for j in 0..w {
                     let mut acc = 0.0;
                     for i in 0..w {
-                        acc += p.f[(i, j)] * self.h_a[ja * w + i];
+                        acc += p.f[(i, j)] * v[ja * w + i];
                     }
-                    self.u_b[p.jb * w + j] -= acc;
+                    v[(na + p.jb) * w + j] -= acc;
                 }
             }
         }
-        self.s_cap.solve_in_place(&mut self.u_b);
-        // Back-substitute the demand rows: u_A = h − K u_B.
+        for (i, x) in self.v_b.iter_mut().enumerate() {
+            *x = v[na * w + i];
+        }
+        self.s_cap.solve_in_place(&mut self.v_b);
+        for (i, x) in self.v_b.iter().enumerate() {
+            v[na * w + i] = *x;
+        }
+        // Back-substitute the demand rows: v_A = h − K v_B.
         for (ja, prs) in self.pairs.iter().enumerate() {
             for p in prs {
                 for i in 0..w {
                     let mut acc = 0.0;
                     for j in 0..w {
-                        acc += p.k[(i, j)] * self.u_b[p.jb * w + j];
+                        acc += p.k[(i, j)] * v[(na + p.jb) * w + j];
                     }
-                    self.h_a[ja * w + i] -= acc;
+                    v[ja * w + i] -= acc;
                 }
             }
         }
-        // y = g − T⁻¹ Gᵀ u.
+        // y = g − T⁻¹ Gᵀ v.
         self.corr.fill(0.0);
-        for (ja, cr) in slq.group_a.iter().enumerate() {
+        for (j, cr) in slq.group_a.iter().chain(&slq.group_b).enumerate() {
             for &(e, c) in &cr.entries {
                 for i in 0..w {
-                    self.corr[e * w + i] += c * self.h_a[ja * w + i];
-                }
-            }
-        }
-        for (jb, cr) in slq.group_b.iter().enumerate() {
-            for &(e, c) in &cr.entries {
-                for i in 0..w {
-                    self.corr[e * w + i] += c * self.u_b[jb * w + i];
+                    self.corr[e * w + i] += c * v[j * w + i];
                 }
             }
         }
@@ -324,57 +379,99 @@ impl<'a> SchurKkt<'a> {
         y.axpy(-1.0, &self.corr);
     }
 
-    /// `out = H v` for the condensed matrix `H = T + CᵀWC` (the exact
-    /// matrix [`SchurKkt::refactor`] factored, including regularization).
-    /// The chains `t_mats` already carry the single-arc barrier rows, so
-    /// only the coupling rows are applied explicitly.
-    fn apply_h(&self, ws: &[Vector], v: &Vector, out: &mut Vector) {
+    /// Residual of the augmented system at `(y, v)` for the right-hand
+    /// side `(b, c)` in `rhs1`/`rhs2`, against the exact matrices
+    /// [`SchurKkt::refactor`] factored (including regularization):
+    /// `r₁ = b − T y − Gᵀ v` and `r₂ = c − G y + W_c⁻¹ v`. Returns the
+    /// componentwise relative backward error `max_i |r_i| / (|K| |x| +
+    /// |rhs|)_i` (Oettli–Prager), which judges every row against its own
+    /// magnitude however far apart the rows' barrier weights are.
+    fn residual(
+        &self,
+        ws: &[Vector],
+        y: &Vector,
+        v: &Vector,
+        r1: &mut Vector,
+        r2: &mut Vector,
+        scale: &mut Vector,
+    ) -> f64 {
         let slq = self.slq;
         let w = self.w;
+        // `scale` accumulates |K||x| + |rhs| for the first block.
         for e in 0..self.n {
             let t = &self.t_mats[e];
             for i in 0..w {
-                let mut acc = 0.0;
+                let (mut acc, mut abs) = (0.0, 0.0);
                 for j in 0..w {
-                    acc += t[(i, j)] * v[e * w + j];
+                    let tij = t[(i, j)] * y[e * w + j];
+                    acc += tij;
+                    abs += tij.abs();
                 }
-                out[e * w + i] = acc;
+                r1[e * w + i] = self.rhs1[e * w + i] - acc;
+                scale[e * w + i] = self.rhs1[e * w + i].abs() + abs;
             }
         }
-        for cr in slq.group_a.iter().chain(slq.group_b.iter()) {
+        let mut worst = 0.0f64;
+        let ratio = |r: f64, s: f64| if s > 0.0 { r.abs() / s } else { r.abs() };
+        for (j, cr) in slq.group_a.iter().chain(&slq.group_b).enumerate() {
             for i in 0..w {
-                let mut acc = 0.0;
+                let vi = v[j * w + i];
+                let (mut gy, mut gy_abs) = (0.0, 0.0);
                 for &(e, c) in &cr.entries {
-                    acc += c * v[e * w + i];
+                    gy += c * y[e * w + i];
+                    gy_abs += (c * y[e * w + i]).abs();
+                    r1[e * w + i] -= c * vi;
+                    scale[e * w + i] += (c * vi).abs();
                 }
-                acc *= ws[i + 1][cr.row];
-                for &(e, c) in &cr.entries {
-                    out[e * w + i] += c * acc;
-                }
+                let vw = vi / ws[i + 1][cr.row];
+                let rhs = self.rhs2[j * w + i];
+                r2[j * w + i] = rhs - gy + vw;
+                worst = worst.max(ratio(r2[j * w + i], rhs.abs() + gy_abs + vw.abs()));
             }
         }
+        for i in 0..r1.len() {
+            worst = worst.max(ratio(r1[i], scale[i]));
+        }
+        worst
     }
 
-    /// [`SchurKkt::solve_in_place`] followed by two steps of iterative
-    /// refinement against the true `H`. Late interior-point iterations
-    /// push the barrier weights to ~1e14 and the condensed system's
-    /// condition number with them; the raw two-level solve then loses
-    /// enough digits that the recovered duals diverge. Refinement is two
-    /// extra block solves — negligible next to the refactorization — and
-    /// keeps the step residual at roundoff level throughout.
+    /// Solves the augmented system for right-hand side `(y, rhs2)` in
+    /// place (`y` on exit, the multipliers in `self.v`), then refines it
+    /// until its backward error reaches roundoff, stops shrinking, or
+    /// [`MAX_REFINEMENT`] passes are spent. Each pass costs two chain
+    /// solves and one small dense solve — negligible next to the
+    /// refactorization.
     fn solve_refined(&mut self, ws: &[Vector], y: &mut Vector) {
-        self.rhs_copy.copy_from(y);
-        self.solve_in_place(y);
-        let mut resid = std::mem::replace(&mut self.resid, Vector::zeros(0));
-        for _ in 0..2 {
-            self.apply_h(ws, y, &mut resid);
-            for i in 0..resid.len() {
-                resid[i] = self.rhs_copy[i] - resid[i];
+        self.rhs1.copy_from(y);
+        let mut v = std::mem::replace(&mut self.v, Vector::zeros(0));
+        let mut r1 = std::mem::replace(&mut self.r1, Vector::zeros(0));
+        let mut r2 = std::mem::replace(&mut self.r2, Vector::zeros(0));
+        let mut scale = std::mem::replace(&mut self.r_scale, Vector::zeros(0));
+        v.copy_from(&self.rhs2);
+        self.solve_in_place(y, &mut v);
+        let mut last = f64::INFINITY;
+        for _ in 0..MAX_REFINEMENT {
+            let resid = self.residual(ws, y, &v, &mut r1, &mut r2, &mut scale);
+            if resid >= last {
+                // The previous correction made things worse: undo it.
+                y.axpy(-1.0, &self.dy);
+                v.axpy(-1.0, &self.dv);
+                break;
             }
-            self.solve_in_place(&mut resid);
-            y.axpy(1.0, &resid);
+            if resid <= REFINEMENT_TOL {
+                break;
+            }
+            last = resid;
+            self.solve_in_place(&mut r1, &mut r2);
+            y.axpy(1.0, &r1);
+            v.axpy(1.0, &r2);
+            self.dy.copy_from(&r1);
+            self.dv.copy_from(&r2);
         }
-        self.resid = resid;
+        self.v = v;
+        self.r1 = r1;
+        self.r2 = r2;
+        self.r_scale = scale;
     }
 }
 
@@ -427,7 +524,7 @@ impl KktSystem for SchurKkt<'_> {
 
     fn stationarity(
         &self,
-        _xs: &[Vector],
+        xs: &[Vector],
         us: &[Vector],
         lams: &[Vector],
         zs: &[Vector],
@@ -436,11 +533,13 @@ impl KktSystem for SchurKkt<'_> {
     ) {
         let slq = self.slq;
         let w = self.w;
-        // Stationarity in x: q_k + Cᵀz_k + λ_k − λ_{k−1} (A = I, Q = 0);
-        // terminal drops the λ_k term.
+        // Stationarity in x: q_k + Q x_k + Cᵀz_k + λ_k − λ_{k−1} (A = I,
+        // Q diagonal); terminal drops the λ_k term.
         for k in 1..=w {
             let r = &mut r_xs[k];
-            r.copy_from(&slq.qs[k - 1]);
+            for e in 0..self.n {
+                r[e] = slq.qs[k - 1][e] + slq.q_diag[e] * xs[k][e];
+            }
             slq.row_t_acc(&zs[k], r);
             if k < w {
                 r.axpy(1.0, &lams[k]);
@@ -488,11 +587,23 @@ impl KktSystem for SchurKkt<'_> {
         let slq = self.slq;
         let w = self.w;
         let n = self.n;
-        // q̂_k = r_x,k + Cᵀ t_k  (r̂_k is just r_u,k: no input rows).
+        // q̂_k = r_x,k + C_dᵀ t_k over the single-arc rows (r̂_k is just
+        // r_u,k: no input rows). The coupling rows' t_k stays out of `H`:
+        // it is the second block's right-hand side −W_c⁻¹ t of the
+        // augmented system, whose solution v is then exactly their Δz.
         for k in 1..=w {
             let qh = &mut self.q_hats[k];
             qh.copy_from(&r_xs[k]);
-            slq.row_t_acc(&ts[k], qh);
+            for e in 0..n {
+                for &(row, c) in &self.diag[self.diag_start[e]..self.diag_start[e + 1]] {
+                    qh[e] += c * ts[k][row];
+                }
+            }
+        }
+        for (j, cr) in slq.group_a.iter().chain(&slq.group_b).enumerate() {
+            for k in 1..=w {
+                self.rhs2[j * w + k - 1] = -ts[k][cr.row] / ws[k][cr.row];
+            }
         }
         // Condensed RHS, arc-major: b_k = −q̂_k + r̂_k − r̂_{k−1} (r̂_W ≡ 0).
         let mut y = std::mem::replace(&mut self.y, Vector::zeros(0));
@@ -524,6 +635,16 @@ impl KktSystem for SchurKkt<'_> {
             }
         }
         self.y = y;
+    }
+
+    /// The coupling rows' `Δz` is the augmented solve's `v`: recomputing
+    /// it from `Δx` as `W (C Δx) + t` would multiply the step's roundoff
+    /// by a stiff row's weight.
+    fn dual_step(&self, k: usize, dz: &mut Vector) {
+        let w = self.w;
+        for (j, cr) in self.slq.group_a.iter().chain(&self.slq.group_b).enumerate() {
+            dz[cr.row] = self.v[j * w + k - 1];
+        }
     }
 }
 
@@ -613,8 +734,10 @@ mod tests {
         let b: Vector = (0..n * w).map(|_| next() - 1.0).collect();
         let mut kkt = SchurKkt::new(&slq);
         kkt.refactor(&ws, reg).unwrap();
+        kkt.reg = reg;
         let mut y = b.clone();
-        kkt.solve_in_place(&mut y);
+        let mut v = Vector::zeros(slq.num_coupling_rows() * w);
+        kkt.solve_in_place(&mut y, &mut v);
         // Reconstruct H y slot by slot.
         let mut worst = 0.0f64;
         let mut scratch = Vector::zeros(m);

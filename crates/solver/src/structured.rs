@@ -15,11 +15,12 @@
 //! [`StructuredLq::new`] builds one directly — the DSPP horizon builder
 //! in `dspp-core` emits its rows straight into this form —
 //! [`solve_structured`](crate::solve_structured) solves it with
-//! Schur-condensed Newton steps, and [`StructuredLq::to_lq`] expands it to
-//! the equivalent dense problem for the Riccati backend and for
-//! cross-validation.
+//! Schur-condensed Newton steps, [`StructuredLq::relax_demand`] adds the
+//! recovery solve's demand slack as pseudo-arcs so it stays in this form,
+//! and [`StructuredLq::to_lq`] expands it to the equivalent dense problem
+//! for the Riccati backend and for cross-validation.
 
-use crate::{LqProblem, LqStage, LqTerminal, SolverError};
+use crate::{LqProblem, LqSolution, LqStage, LqTerminal, SoftSpec, SolverError};
 use dspp_linalg::{Matrix, Vector};
 
 /// A constraint row touching exactly one arc: `coeff · x_arc ≤ d_row`.
@@ -69,7 +70,11 @@ pub struct StructuredLq {
     pub(crate) q0: Vector,
     /// Linear state costs per slot `k = 1..=W` (index `k-1`).
     pub(crate) qs: Vec<Vector>,
-    /// Input cost Hessian diagonals `R_k` per stage `k = 0..W-1`.
+    /// Diagonal state Hessian `Q`, shared by slots `1..=W` (zero except
+    /// on the slack arcs of [`StructuredLq::relax_demand`]).
+    pub(crate) q_diag: Vector,
+    /// Input cost Hessian diagonals `R_k` per stage `k = 0..W-1` (zero
+    /// only on slack arcs).
     pub(crate) r_diags: Vec<Vector>,
     /// Linear input costs per stage.
     pub(crate) r_vecs: Vec<Vector>,
@@ -213,6 +218,7 @@ impl StructuredLq {
             x0,
             q0,
             qs,
+            q_diag: Vector::zeros(n),
             r_diags,
             r_vecs,
             m_rows,
@@ -222,6 +228,111 @@ impl StructuredLq {
             group_b,
             arc_b,
         })
+    }
+
+    /// The always-feasible relaxation of the group-A (demand) rows: one
+    /// slack pseudo-arc `σ_j ≥ 0` per group-A row `j`,
+    ///
+    /// ```text
+    /// Σ_e c_e x_e − σ_j ≤ d_j,      σ_j ≥ 0,
+    /// ```
+    ///
+    /// penalized by `ρ_j σ_j + ε σ_j²` in every slot `1..=W` — the same
+    /// exact-penalty relaxation [`crate::relax_lq_slots`] builds on the
+    /// dense form, but kept in the compact form so the Schur backend
+    /// solves it. Slack arc `j` is state `n + j`: it appears in its own
+    /// group-A row (coefficient `−1`) and in one non-negativity row
+    /// (appended after the original rows, in group-A order), in no
+    /// group-B row, and carries linear cost `ρ_j`, diagonal state Hessian
+    /// `2ε` and no input cost, so each slot's slack is independent of the
+    /// others. [`StructuredLq::strip_slack`] maps a solution back.
+    ///
+    /// # Errors
+    ///
+    /// [`SolverError::InvalidProblem`] unless `spec` has one positive,
+    /// finite penalty per group-A row and a positive, finite quadratic.
+    pub fn relax_demand(&self, spec: &SoftSpec) -> Result<StructuredLq, SolverError> {
+        let na = self.group_a.len();
+        if spec.penalties.len() != na
+            || !spec.penalties.is_finite()
+            || spec.penalties.iter().any(|&p| p <= 0.0)
+        {
+            return Err(SolverError::InvalidProblem(format!(
+                "demand relaxation needs {na} positive, finite penalties"
+            )));
+        }
+        if !(spec.quadratic.is_finite() && spec.quadratic > 0.0) {
+            return Err(SolverError::InvalidProblem(
+                "demand relaxation: quadratic slack penalty must be positive".into(),
+            ));
+        }
+        let n = self.n;
+        // Every per-arc vector gains the slack arcs' entries; `zero` pads
+        // with zeros.
+        let pad = |v: &Vector, tail: &Vector| -> Vector {
+            v.iter().chain(tail.iter()).copied().collect()
+        };
+        let zero = Vector::zeros(na);
+        let mut diag_rows = self.diag_rows.clone();
+        let mut group_a = self.group_a.clone();
+        for (j, row) in group_a.iter_mut().enumerate() {
+            row.entries.push((n + j, -1.0));
+            diag_rows.push(DiagRow {
+                row: self.m_rows + j,
+                arc: n + j,
+                coeff: -1.0,
+            });
+        }
+        let mut arc_b = self.arc_b.clone();
+        arc_b.resize(n + na, (NO_ROW, 0.0));
+        Ok(StructuredLq {
+            n: n + na,
+            w: self.w,
+            x0: pad(&self.x0, &zero),
+            q0: pad(&self.q0, &zero),
+            qs: self.qs.iter().map(|q| pad(q, &spec.penalties)).collect(),
+            q_diag: pad(&self.q_diag, &Vector::filled(na, 2.0 * spec.quadratic)),
+            r_diags: self.r_diags.iter().map(|r| pad(r, &zero)).collect(),
+            r_vecs: self.r_vecs.iter().map(|r| pad(r, &zero)).collect(),
+            m_rows: self.m_rows + na,
+            ds: self.ds.iter().map(|d| pad(d, &zero)).collect(),
+            diag_rows,
+            group_a,
+            group_b: self.group_b.clone(),
+            arc_b,
+        })
+    }
+
+    /// Maps a solution of [`StructuredLq::relax_demand`]`(self)` back onto
+    /// this problem: trajectories without the slack arcs, slot duals
+    /// truncated to this problem's rows, and the objective *without* the
+    /// slack penalty. What the placement leaves unserved is then
+    /// [`StructuredLq::group_a_violations`] of the returned states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sol` does not come from this problem's relaxation.
+    pub fn strip_slack(&self, sol: &LqSolution) -> LqSolution {
+        let n = self.n;
+        assert!(
+            sol.xs.len() == self.w + 1 && sol.xs.iter().all(|x| x.len() == n + self.group_a.len()),
+            "solution does not come from this problem's demand relaxation"
+        );
+        let head = |v: &Vector, len: usize| -> Vector { v.iter().copied().take(len).collect() };
+        let xs: Vec<Vector> = sol.xs.iter().map(|x| head(x, n)).collect();
+        let us: Vec<Vector> = sol.us.iter().map(|u| head(u, n)).collect();
+        LqSolution {
+            objective: self.objective(&xs, &us),
+            xs,
+            us,
+            stage_duals: sol
+                .stage_duals
+                .iter()
+                .map(|z| head(z, self.m_rows))
+                .collect(),
+            iterations: sol.iterations,
+            status: sol.status,
+        }
     }
 
     /// Expands to the equivalent dense [`LqProblem`]: identity dynamics,
@@ -251,6 +362,7 @@ impl StructuredLq {
             if k == 0 {
                 st.q_vec = self.q0.clone();
             } else {
+                st.q_mat = Matrix::from_diag(&self.q_diag);
                 st.q_vec = self.qs[k - 1].clone();
                 st = st.with_constraints(
                     cx.clone(),
@@ -260,10 +372,34 @@ impl StructuredLq {
             }
             stages.push(st);
         }
-        let terminal = LqTerminal::free(n)
+        let mut terminal = LqTerminal::free(n)
             .with_state_cost(self.qs[self.w - 1].clone())
             .with_constraints(cx, self.ds[self.w - 1].clone());
+        terminal.q_mat = Matrix::from_diag(&self.q_diag);
         LqProblem::new(self.x0.clone(), stages, terminal).expect("structured expansion is valid")
+    }
+
+    /// How far the slot-`k` state `x` (`k = 1..=W`) violates each group-A
+    /// row, `max(0, Σ_e c_e x_e − d_j)` in group-A order. For the DSPP
+    /// horizon that is the demand a placement leaves unserved per
+    /// location — zero exactly where it is covered, unlike a relaxation's
+    /// slack variable, which an interior-point solve leaves a
+    /// barrier-sized distance above zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is not in `1..=W` or `x` has the wrong length.
+    pub fn group_a_violations(&self, k: usize, x: &Vector) -> Vector {
+        assert!((1..=self.w).contains(&k), "slot {k} is not constrained");
+        assert_eq!(x.len(), self.n, "state has the wrong dimension");
+        let d = &self.ds[k - 1];
+        self.group_a
+            .iter()
+            .map(|row| {
+                let lhs: f64 = row.entries.iter().map(|&(e, c)| c * x[e]).sum();
+                (lhs - d[row.row]).max(0.0)
+            })
+            .collect()
     }
 
     /// Arc count (state and input dimension).
@@ -335,6 +471,9 @@ impl StructuredLq {
         let mut j = self.q0.dot(&xs[0]);
         for k in 1..=self.w {
             j += self.qs[k - 1].dot(&xs[k]);
+            for e in 0..self.n {
+                j += 0.5 * self.q_diag[e] * xs[k][e] * xs[k][e];
+            }
         }
         for k in 0..self.w {
             let u = &us[k];
@@ -484,6 +623,56 @@ mod tests {
         let dense = slq.to_lq();
         assert_eq!(dense.terminal.d.len(), 9);
         assert!((0..4).all(|e| dense.terminal.cx[(8, e)] == 0.0));
+    }
+
+    #[test]
+    fn demand_relaxation_sheds_exactly_the_deficit_on_both_backends() {
+        use crate::{solve_lq, solve_structured, IpmSettings, SolveStatus};
+        use dspp_telemetry::Recorder;
+        // Location 0 needs 5 demand units, location 1 needs 3. DC 1 is
+        // dark and DC 0 has 2 servers, which serve 1 demand unit each at
+        // location 0 but only 0.8 at location 1: the optimum serves 2
+        // units at location 0 and sheds the other 3 + 3.
+        let strict = dspp_like(2);
+        let mut ds = strict.ds.clone();
+        for d in &mut ds {
+            d[2] = 2.0;
+            d[3] = 0.0;
+        }
+        let strict = StructuredLq::new(
+            strict.x0.clone(),
+            strict.q0.clone(),
+            strict.qs.clone(),
+            strict.r_diags.clone(),
+            strict.r_vecs.clone(),
+            ds,
+            strict.diag_rows.clone(),
+            strict.group_a.clone(),
+            strict.group_b.clone(),
+            strict.m_rows,
+        )
+        .unwrap();
+        let relaxed = strict
+            .relax_demand(&SoftSpec::uniform(2, 1e3, 1e-4))
+            .unwrap();
+        assert_eq!(relaxed.state_dim(), 6);
+        assert_eq!(relaxed.num_rows(), strict.num_rows() + 2);
+        let settings = IpmSettings::default();
+        let schur = solve_structured(&relaxed, &settings, None, &Recorder::disabled()).unwrap();
+        let dense = solve_lq(&relaxed.to_lq(), &settings).unwrap();
+        assert_eq!(schur.status, SolveStatus::Optimal);
+        assert!((schur.objective - dense.objective).abs() <= 1e-8 * dense.objective.abs());
+        for sol in [&schur, &dense] {
+            let placement = strict.strip_slack(sol);
+            assert_eq!(placement.xs[1].len(), 4);
+            for k in 1..=2 {
+                let x = &placement.xs[k];
+                assert!((x[0] - 2.0).abs() < 1e-6, "DC 0 misplaced: {x:?}");
+                assert!(x[1].abs() + x[2].abs() + x[3].abs() < 1e-6, "{x:?}");
+                let unserved = strict.group_a_violations(k, x);
+                assert!((unserved[0] - 3.0).abs() < 1e-6 && (unserved[1] - 3.0).abs() < 1e-6);
+            }
+        }
     }
 
     #[test]

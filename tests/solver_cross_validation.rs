@@ -5,11 +5,11 @@
 //! expansion, Schur condensation on the compact form) must agree on
 //! randomized DSPP horizons.
 
-use dspp::core::{Allocation, DsppBuilder, HorizonProblem};
+use dspp::core::{Allocation, Dspp, DsppBuilder, HorizonProblem};
 use dspp::linalg::{Matrix, Vector};
 use dspp::solver::{
-    flatten_lq, solve_lq, solve_qp, solve_structured, IpmSettings, LqProblem, LqStage, LqTerminal,
-    SolverError,
+    flatten_lq, relax_lq_slots, solve_lq, solve_lq_warm, solve_qp, solve_structured, IpmSettings,
+    LqProblem, LqStage, LqTerminal, SoftSpec, SolveStatus, SolverError, StructuredLq,
 };
 use dspp::telemetry::Recorder;
 use proptest::prelude::*;
@@ -210,27 +210,92 @@ enum Case {
     DarkDc,
     /// As `NearCapacity`, but one period gets 60% of the requirement.
     Infeasible,
+    /// As `Generic`, with no capacity schedule: every DC keeps the
+    /// builder's 1e9 "uncapacitated" sentinel capacity.
+    Sentinel,
+    /// One DC serving one location: a single arc.
+    SingleArc,
+    /// Every location reaches every DC; DC 0 is down (capacity 0, its
+    /// arcs pinned at zero) and DC 1 is degraded to 99.5% of the others.
+    Outage,
 }
 
-const CASES: [Case; 6] = [
+const CASES: [Case; 9] = [
     Case::Generic,
     Case::ZeroDemand,
     Case::TiedPrices,
     Case::NearCapacity,
     Case::DarkDc,
     Case::Infeasible,
+    Case::Sentinel,
+    Case::SingleArc,
+    Case::Outage,
 ];
+
+impl Case {
+    /// Whether the optimal multipliers are unique, so that both backends
+    /// must report the same duals: zero demand, tied prices and a pinned
+    /// dark DC leave degenerate active sets whose multipliers are not.
+    fn unique_duals(self) -> bool {
+        matches!(self, Case::Generic | Case::Sentinel | Case::SingleArc)
+    }
+}
+
+/// The data of one differential horizon, kept so the next period's
+/// horizon can be built from it.
+struct Instance {
+    problem: Dspp,
+    x0: Allocation,
+    demand: Vec<Vec<f64>>,
+    prices: Vec<Vec<f64>>,
+    caps: Option<Vec<Vec<f64>>>,
+}
+
+impl Instance {
+    fn horizon(&self) -> HorizonProblem {
+        HorizonProblem::build_full(
+            &self.problem,
+            &self.x0,
+            &self.demand,
+            &self.prices,
+            self.caps.as_deref(),
+            None,
+        )
+        .expect("horizon")
+    }
+
+    /// The next period's instance: start from `x1`, every forecast and
+    /// capacity series shifted one period (the last entry repeated).
+    fn shifted(&self, x1: &Vector) -> Instance {
+        let shift = |rows: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            rows.iter()
+                .map(|r| r[1..].iter().chain(r.last()).copied().collect())
+                .collect()
+        };
+        let caps = self.caps.as_ref().map(|c| {
+            let mut next = c[1..].to_vec();
+            next.push(c[c.len() - 1].clone());
+            next
+        });
+        Instance {
+            problem: self.problem.clone(),
+            x0: Allocation::from_arc_values(&self.problem, x1.iter().map(|v| v.max(0.0)).collect()),
+            demand: shift(&self.demand),
+            prices: shift(&self.prices),
+            caps,
+        }
+    }
+}
 
 /// A small random DSPP horizon of `case`'s family, built twice: once with
 /// ample capacity to read the per-period requirement off the preflight,
 /// then with the case's capacity schedule.
-fn differential_horizon(
-    case: Case,
-    dcs: usize,
-    locs: usize,
-    w: usize,
-    seed: u64,
-) -> HorizonProblem {
+fn differential_instance(case: Case, dcs: usize, locs: usize, w: usize, seed: u64) -> Instance {
+    let (dcs, locs) = if case == Case::SingleArc {
+        (1, 1)
+    } else {
+        (dcs, locs)
+    };
     let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
     let mut unit = move || {
         state = state
@@ -238,7 +303,10 @@ fn differential_horizon(
             .wrapping_add(1442695040888963407);
         (state >> 11) as f64 / (1u64 << 53) as f64
     };
-    let uniform = matches!(case, Case::NearCapacity | Case::Infeasible);
+    let uniform = matches!(
+        case,
+        Case::NearCapacity | Case::Infeasible | Case::Outage | Case::SingleArc
+    );
     let dark = usize::from(case == Case::DarkDc);
     let live = dcs - dark;
     let latency: Vec<Vec<f64>> = (0..dcs)
@@ -289,49 +357,81 @@ fn differential_horizon(
         &problem,
         (0..problem.num_arcs()).map(|_| 2.0 * unit()).collect(),
     );
-    let ample = vec![vec![1e6; dcs]; w];
-    let required: Vec<f64> =
-        HorizonProblem::build_full(&problem, &x0, &demand, &prices, Some(&ample), None)
-            .expect("horizon")
-            .preflight()
-            .expect("preflight")
-            .periods
-            .iter()
-            .map(|p| p.required)
-            .collect();
+    let mut instance = Instance {
+        problem,
+        x0,
+        demand,
+        prices,
+        caps: Some(vec![vec![1e6; dcs]; w]),
+    };
+    let required: Vec<f64> = instance
+        .horizon()
+        .preflight()
+        .expect("preflight")
+        .periods
+        .iter()
+        .map(|p| p.required)
+        .collect();
     let short = (unit() * w as f64) as usize;
     let caps: Vec<Vec<f64>> = required
         .iter()
         .enumerate()
         .map(|(t, &req)| {
             (0..dcs)
-                .map(|_| match case {
+                .map(|l| match case {
                     Case::NearCapacity => 1.02 * req / live as f64,
                     Case::Infeasible if t == short => 0.6 * req / live as f64,
                     Case::Infeasible => 1.02 * req / live as f64,
+                    Case::Outage if l == 0 => 0.0,
+                    Case::Outage if l == 1 => 0.995 * 1.5 * req / (dcs - 1) as f64,
+                    Case::Outage => 1.5 * req / (dcs - 1) as f64,
                     _ => (1.0 + unit()) * req.max(1.0),
                 })
                 .collect()
         })
         .collect();
-    HorizonProblem::build_full(&problem, &x0, &demand, &prices, Some(&caps), None).expect("horizon")
+    instance.caps = (case != Case::Sentinel).then_some(caps);
+    instance
+}
+
+/// Asserts two per-row dual vectors agree to `tol` relative.
+fn assert_duals_agree(what: &str, schur: &[f64], riccati: &[f64], tol: f64) {
+    for (i, (a, b)) in schur.iter().zip(riccati).enumerate() {
+        assert!(
+            (a - b).abs() <= tol * (1.0 + b.abs()),
+            "{what} dual {i}: schur {a} vs riccati {b}"
+        );
+    }
+}
+
+/// Total unserved demand per horizon slot of a solution of
+/// `slq.relax_demand(..)` mapped back onto `slq`.
+fn unserved(slq: &StructuredLq, sol: &dspp::solver::LqSolution) -> Vec<f64> {
+    (1..=slq.horizon())
+        .map(|k| slq.group_a_violations(k, &sol.xs[k]).iter().sum())
+        .collect()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(36))]
+    #![proptest_config(ProptestConfig::with_cases(1500))]
     /// The Schur backend on the compact form and the Riccati backend on its
-    /// dense expansion reach the same objective to 1e-8, or both certify
-    /// the same horizon infeasible.
+    /// dense expansion reach the same objective to 1e-8 — cold, and
+    /// warm-started on the next period's horizon from the shifted
+    /// solution — with the same capacity and demand duals to 1e-6 where
+    /// those are unique, or both certify the same horizon infeasible. On
+    /// an infeasible or outage horizon both backends' recovery solves, and
+    /// the dense slack-input relaxation, shed the same demand.
     #[test]
     fn kkt_backends_agree_on_random_dspp_horizons(
-        case in 0usize..6,
+        case in 0usize..9,
         dcs in 2usize..5,
         locs in 1usize..6,
         w in 1usize..5,
         seed in 0u64..1_000_000,
     ) {
         let case = CASES[case];
-        let horizon = differential_horizon(case, dcs, locs, w, seed);
+        let instance = differential_instance(case, dcs, locs, w, seed);
+        let horizon = instance.horizon();
         let settings = IpmSettings::default();
         let schur = solve_structured(horizon.slq(), &settings, None, &Recorder::disabled());
         let riccati = solve_lq(&horizon.to_lq(), &settings);
@@ -348,11 +448,47 @@ proptest! {
                     "riccati: {:?}", riccati.map(|s| s.objective)
                 );
             }
-            (_, Ok(schur), Ok(riccati)) => prop_assert!(
-                (schur.objective - riccati.objective).abs()
-                    <= 1e-8 * (1.0 + riccati.objective.abs()),
-                "{:?}: schur {} vs riccati {}", case, schur.objective, riccati.objective
-            ),
+            (_, Ok(schur), Ok(riccati)) => {
+                prop_assert!(
+                    (schur.objective - riccati.objective).abs()
+                        <= 1e-8 * (1.0 + riccati.objective.abs()),
+                    "{:?}: schur {} vs riccati {}", case, schur.objective, riccati.objective
+                );
+                if case.unique_duals() {
+                    assert_duals_agree(
+                        "capacity",
+                        &horizon.capacity_duals(&schur),
+                        &horizon.capacity_duals(&riccati),
+                        1e-6,
+                    );
+                    assert_duals_agree(
+                        "demand",
+                        &horizon.demand_duals(&schur),
+                        &horizon.demand_duals(&riccati),
+                        1e-6,
+                    );
+                }
+                // Next period, warm-started from the shifted solution.
+                let next = instance.shifted(&schur.xs[1]).horizon();
+                let mut guess = schur.us[1..].to_vec();
+                guess.push(Vector::zeros(schur.us[0].len()));
+                let warm_schur =
+                    solve_structured(next.slq(), &settings, Some(&guess), &Recorder::disabled());
+                let warm_riccati = solve_lq_warm(&next.to_lq(), &settings, Some(&guess));
+                match (warm_schur, warm_riccati) {
+                    (Ok(s), Ok(r)) => prop_assert!(
+                        (s.objective - r.objective).abs() <= 1e-8 * (1.0 + r.objective.abs()),
+                        "{:?} warm: schur {} vs riccati {}", case, s.objective, r.objective
+                    ),
+                    (s, r) => prop_assert!(
+                        false,
+                        "{:?} warm: schur {:?} / riccati {:?}",
+                        case,
+                        s.map(|s| s.objective),
+                        r.map(|r| r.objective)
+                    ),
+                }
+            }
             (_, schur, riccati) => prop_assert!(
                 false,
                 "{:?}: schur {:?} / riccati {:?}",
@@ -360,6 +496,55 @@ proptest! {
                 schur.map(|s| s.objective),
                 riccati.map(|s| s.objective)
             ),
+        }
+        if matches!(case, Case::Infeasible | Case::Outage) {
+            let slq = horizon.slq();
+            let spec = SoftSpec::uniform(instance.demand.len(), 1e4, 1e-4);
+            let relaxed = slq.relax_demand(&spec).expect("relaxation");
+            let schur = solve_structured(&relaxed, &settings, None, &Recorder::disabled())
+                .expect("schur recovery");
+            let schur_shed = unserved(slq, &slq.strip_slack(&schur));
+            if case == Case::Outage {
+                // Feasible despite the outage: nothing to shed. (The
+                // pinned dark DC has no strictly feasible point, so its
+                // multipliers are unbounded and the solve may end
+                // `AlmostOptimal`; the placement must still be exact.)
+                prop_assert!(
+                    schur_shed.iter().all(|&s| s <= 1e-6),
+                    "outage recovery shed {:?}", schur_shed
+                );
+            }
+            else {
+                prop_assert_eq!(schur.status, SolveStatus::Optimal);
+            }
+            // The dense references: Riccati on the same relaxation's
+            // expansion, and on the slack-input relaxation. Only their
+            // `Optimal` answers are held to the Schur one — a pinned dark
+            // DC or a zero-Hessian slack can stall the Riccati recursion
+            // into a degraded `AlmostOptimal` iterate that sheds demand it
+            // could serve.
+            let lq = horizon.to_lq();
+            let mut soften = vec![true; w + 1];
+            soften[0] = false;
+            let inputs = relax_lq_slots(&lq, &spec, &soften).expect("slack-input relaxation");
+            let references = [
+                solve_lq(&relaxed.to_lq(), &settings)
+                    .map(|sol| (sol.status, slq.strip_slack(&sol))),
+                solve_lq(&inputs.problem, &settings)
+                    .map(|sol| (sol.status, inputs.split_solution(&lq, &sol).solution)),
+            ];
+            for (status, sol) in references.into_iter().flatten() {
+                if status != SolveStatus::Optimal {
+                    continue;
+                }
+                let shed = unserved(slq, &sol);
+                for k in 0..w {
+                    prop_assert!(
+                        (schur_shed[k] - shed[k]).abs() <= 1e-6 * (1.0 + shed[k]),
+                        "slot {}: schur sheds {:?}, dense {:?}", k + 1, schur_shed, shed
+                    );
+                }
+            }
         }
     }
 }
