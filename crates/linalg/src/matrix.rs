@@ -134,6 +134,12 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Borrows the whole row-major buffer mutably, for kernels that update
+    /// several rows at once.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [f64] {
+        &mut self.data
+    }
+
     /// Copies column `j` into a new vector.
     pub fn col(&self, j: usize) -> Vector {
         assert!(j < self.cols, "col {j} out of bounds ({} cols)", self.cols);

@@ -43,8 +43,6 @@ pub struct SchurComplement {
     chol: Cholesky,
     /// Jacobi scale factors of the last refactor.
     scales: Vec<f64>,
-    /// Fraction of structurally nonzero entries at the last refactor.
-    fill: f64,
     valid: bool,
 }
 
@@ -56,7 +54,6 @@ impl SchurComplement {
             mat: Matrix::zeros(dim, dim),
             chol: Cholesky::unfactored(dim),
             scales: vec![1.0; dim],
-            fill: 0.0,
             valid: false,
         }
     }
@@ -75,12 +72,7 @@ impl SchurComplement {
     /// the factor stale.
     pub fn reset(&mut self) {
         self.valid = false;
-        let n = self.mat.rows();
-        for i in 0..n {
-            for j in 0..n {
-                self.mat[(i, j)] = 0.0;
-            }
-        }
+        self.mat.as_mut_slice().fill(0.0);
     }
 
     /// Adds `scale · block` at offset `(r0, c0)`.
@@ -111,11 +103,19 @@ impl SchurComplement {
         self.mat[(i, i)] += v;
     }
 
-    /// Fraction of structurally nonzero entries in `S` at the last
-    /// [`SchurComplement::refactor`] (1.0 for a fully dense system, 0.0
-    /// for an empty one) — exported as the `solver.lq.schur_fill` gauge.
+    /// Fraction of structurally nonzero entries in the accumulated `S`
+    /// (1.0 for a fully dense system, 0.0 for an empty one), exported as
+    /// the `solver.lq.schur_fill` gauge. Counted on demand, an `O(dim²)`
+    /// scan, so the per-iteration refactor does not pay for it.
     pub fn fill_ratio(&self) -> f64 {
-        self.fill
+        let n = self.mat.rows();
+        if n == 0 {
+            return 0.0;
+        }
+        let nnz = (0..n)
+            .map(|i| self.mat.row(i).iter().filter(|v| **v != 0.0).count())
+            .sum::<usize>();
+        nnz as f64 / (n * n) as f64
     }
 
     /// Factors the equilibrated accumulated matrix `D S D + reg · I`,
@@ -134,29 +134,10 @@ impl SchurComplement {
     /// complement of an SPD system this indicates severe ill-conditioning.
     pub fn refactor(&mut self, reg: f64) -> Result<(), LinalgError> {
         self.valid = false;
-        let n = self.mat.rows();
-        if n > 0 {
-            self.fill = self.count_nonzero() as f64 / (n * n) as f64;
-        } else {
-            self.fill = 0.0;
-        }
         self.chol
             .refactor_equilibrated(&self.mat, &mut self.scales, reg)?;
         self.valid = true;
         Ok(())
-    }
-
-    fn count_nonzero(&self) -> usize {
-        let n = self.mat.rows();
-        let mut nnz = 0usize;
-        for i in 0..n {
-            for j in 0..n {
-                if self.mat[(i, j)] != 0.0 {
-                    nnz += 1;
-                }
-            }
-        }
-        nnz
     }
 
     /// Solves `S x = b` in place.

@@ -31,7 +31,11 @@
 //! SPD system of dimension `W · #capacity rows` — a few hundred even at
 //! 100× scale — factored by [`dspp_linalg::SchurComplement`].
 //! Per-iteration cost is `O(n·W³ + (W·L)³)` for `L` data centers:
-//! near-linear in arcs.
+//! near-linear in arcs, but at 100× scale (`n` = 3000 arcs, `W·L` = 400)
+//! the `(W·L)³` dense factor of `S` is the larger term, not the chains.
+//! With the textbook Cholesky loop it took ~51% of the solve, against ~8%
+//! for the chains' assembly, factors and inverses; the panel kernel of
+//! [`dspp_linalg::Cholesky`] cut it to ~19% (DESIGN.md §4.1).
 //!
 //! Numerics. Barrier weights span ~40 decades within one solve: a demand
 //! row a warm start begins on, or a dark data center's zero-capacity row

@@ -218,6 +218,10 @@ enum Case {
     /// Every location reaches every DC; DC 0 is down (capacity 0, its
     /// arcs pinned at zero) and DC 1 is degraded to 99.5% of the others.
     Outage,
+    /// As `Generic`, with each arc's latency set so that its conversion
+    /// coefficient `a^{lv}` is log-uniform over three decades, 1.25e-2 to
+    /// 12.5 servers per unit of demand.
+    WideCoefficients,
 }
 
 const CASES: [Case; 9] = [
@@ -237,7 +241,10 @@ impl Case {
     /// must report the same duals: zero demand, tied prices and a pinned
     /// dark DC leave degenerate active sets whose multipliers are not.
     fn unique_duals(self) -> bool {
-        matches!(self, Case::Generic | Case::Sentinel | Case::SingleArc)
+        matches!(
+            self,
+            Case::Generic | Case::Sentinel | Case::SingleArc | Case::WideCoefficients
+        )
     }
 }
 
@@ -317,6 +324,11 @@ fn differential_instance(case: Case, dcs: usize, locs: usize, w: usize, seed: u6
                     match (reach, uniform) {
                         (false, _) => 0.200,
                         (true, true) => 0.010,
+                        (true, false) if case == Case::WideCoefficients => {
+                            // a = 1/(μ − 1/(d̄ − d)) with μ = 100, d̄ = 60 ms.
+                            let a = 1.25e-2 * 10f64.powf(3.0 * unit());
+                            0.060 - 1.0 / (100.0 - 1.0 / a)
+                        }
                         (true, false) => 0.005 + 0.030 * unit(),
                     }
                 })
@@ -394,6 +406,21 @@ fn differential_instance(case: Case, dcs: usize, locs: usize, w: usize, seed: u6
     instance
 }
 
+#[test]
+fn wide_coefficient_instances_span_three_decades() {
+    let instance = differential_instance(Case::WideCoefficients, 4, 5, 2, 7);
+    let coeffs: Vec<f64> = (0..instance.problem.num_arcs())
+        .map(|e| instance.problem.arc_coeff(e))
+        .collect();
+    let lo = coeffs.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = coeffs.iter().copied().fold(0.0, f64::max);
+    assert!(
+        lo >= 1.25e-2 * (1.0 - 1e-9) && hi <= 12.5 * (1.0 + 1e-9),
+        "{coeffs:?}"
+    );
+    assert!(hi / lo >= 100.0, "a^lv spans only {lo:e}..{hi:e}");
+}
+
 /// Asserts two per-row dual vectors agree to `tol` relative.
 fn assert_duals_agree(what: &str, schur: &[f64], riccati: &[f64], tol: f64) {
     for (i, (a, b)) in schur.iter().zip(riccati).enumerate() {
@@ -412,15 +439,143 @@ fn unserved(slq: &StructuredLq, sol: &dspp::solver::LqSolution) -> Vec<f64> {
         .collect()
 }
 
+/// One differential check: the Schur backend on the compact form and the
+/// Riccati backend on its dense expansion reach the same objective to 1e-8
+/// — cold, and warm-started on the next period's horizon from the shifted
+/// solution — with the same capacity and demand duals to 1e-6 where those
+/// are unique, or both certify the same horizon infeasible. On an
+/// infeasible or outage horizon both backends' recovery solves, and the
+/// dense slack-input relaxation, shed the same demand.
+fn assert_kkt_backends_agree(case: Case, dcs: usize, locs: usize, w: usize, seed: u64) {
+    let instance = differential_instance(case, dcs, locs, w, seed);
+    let horizon = instance.horizon();
+    let settings = IpmSettings::default();
+    let schur = solve_structured(horizon.slq(), &settings, None, &Recorder::disabled());
+    let riccati = solve_lq(&horizon.to_lq(), &settings);
+    let feasible = horizon.preflight().expect("preflight").is_feasible();
+    assert_eq!(feasible, case != Case::Infeasible);
+    match (case, schur, riccati) {
+        (Case::Infeasible, schur, riccati) => {
+            assert!(
+                matches!(schur, Err(SolverError::Infeasible { .. })),
+                "schur: {:?}",
+                schur.map(|s| s.objective)
+            );
+            assert!(
+                matches!(riccati, Err(SolverError::Infeasible { .. })),
+                "riccati: {:?}",
+                riccati.map(|s| s.objective)
+            );
+        }
+        (_, Ok(schur), Ok(riccati)) => {
+            assert!(
+                (schur.objective - riccati.objective).abs()
+                    <= 1e-8 * (1.0 + riccati.objective.abs()),
+                "{:?}: schur {} vs riccati {}",
+                case,
+                schur.objective,
+                riccati.objective
+            );
+            if case.unique_duals() {
+                assert_duals_agree(
+                    "capacity",
+                    &horizon.capacity_duals(&schur),
+                    &horizon.capacity_duals(&riccati),
+                    1e-6,
+                );
+                assert_duals_agree(
+                    "demand",
+                    &horizon.demand_duals(&schur),
+                    &horizon.demand_duals(&riccati),
+                    1e-6,
+                );
+            }
+            // Next period, warm-started from the shifted solution.
+            let next = instance.shifted(&schur.xs[1]).horizon();
+            let mut guess = schur.us[1..].to_vec();
+            guess.push(Vector::zeros(schur.us[0].len()));
+            let warm_schur =
+                solve_structured(next.slq(), &settings, Some(&guess), &Recorder::disabled());
+            let warm_riccati = solve_lq_warm(&next.to_lq(), &settings, Some(&guess));
+            match (warm_schur, warm_riccati) {
+                (Ok(s), Ok(r)) => assert!(
+                    (s.objective - r.objective).abs() <= 1e-8 * (1.0 + r.objective.abs()),
+                    "{:?} warm: schur {} vs riccati {}",
+                    case,
+                    s.objective,
+                    r.objective
+                ),
+                (s, r) => panic!(
+                    "{:?} warm: schur {:?} / riccati {:?}",
+                    case,
+                    s.map(|s| s.objective),
+                    r.map(|r| r.objective)
+                ),
+            }
+        }
+        (_, schur, riccati) => panic!(
+            "{:?}: schur {:?} / riccati {:?}",
+            case,
+            schur.map(|s| s.objective),
+            riccati.map(|s| s.objective)
+        ),
+    }
+    if matches!(case, Case::Infeasible | Case::Outage) {
+        let slq = horizon.slq();
+        let spec = SoftSpec::uniform(instance.demand.len(), 1e4, 1e-4);
+        let relaxed = slq.relax_demand(&spec).expect("relaxation");
+        let schur = solve_structured(&relaxed, &settings, None, &Recorder::disabled())
+            .expect("schur recovery");
+        let schur_shed = unserved(slq, &slq.strip_slack(&schur));
+        if case == Case::Outage {
+            // Feasible despite the outage: nothing to shed. (The
+            // pinned dark DC has no strictly feasible point, so its
+            // multipliers are unbounded and the solve may end
+            // `AlmostOptimal`; the placement must still be exact.)
+            assert!(
+                schur_shed.iter().all(|&s| s <= 1e-6),
+                "outage recovery shed {:?}",
+                schur_shed
+            );
+        } else {
+            assert_eq!(schur.status, SolveStatus::Optimal);
+        }
+        // The dense references: Riccati on the same relaxation's
+        // expansion, and on the slack-input relaxation. Only their
+        // `Optimal` answers are held to the Schur one — a pinned dark
+        // DC or a zero-Hessian slack can stall the Riccati recursion
+        // into a degraded `AlmostOptimal` iterate that sheds demand it
+        // could serve.
+        let lq = horizon.to_lq();
+        let mut soften = vec![true; w + 1];
+        soften[0] = false;
+        let inputs = relax_lq_slots(&lq, &spec, &soften).expect("slack-input relaxation");
+        let references = [
+            solve_lq(&relaxed.to_lq(), &settings).map(|sol| (sol.status, slq.strip_slack(&sol))),
+            solve_lq(&inputs.problem, &settings)
+                .map(|sol| (sol.status, inputs.split_solution(&lq, &sol).solution)),
+        ];
+        for (status, sol) in references.into_iter().flatten() {
+            if status != SolveStatus::Optimal {
+                continue;
+            }
+            let shed = unserved(slq, &sol);
+            for k in 0..w {
+                assert!(
+                    (schur_shed[k] - shed[k]).abs() <= 1e-6 * (1.0 + shed[k]),
+                    "slot {}: schur sheds {:?}, dense {:?}",
+                    k + 1,
+                    schur_shed,
+                    shed
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1500))]
-    /// The Schur backend on the compact form and the Riccati backend on its
-    /// dense expansion reach the same objective to 1e-8 — cold, and
-    /// warm-started on the next period's horizon from the shifted
-    /// solution — with the same capacity and demand duals to 1e-6 where
-    /// those are unique, or both certify the same horizon infeasible. On
-    /// an infeasible or outage horizon both backends' recovery solves, and
-    /// the dense slack-input relaxation, shed the same demand.
+    /// [`assert_kkt_backends_agree`] on every instance family.
     #[test]
     fn kkt_backends_agree_on_random_dspp_horizons(
         case in 0usize..9,
@@ -429,122 +584,22 @@ proptest! {
         w in 1usize..5,
         seed in 0u64..1_000_000,
     ) {
-        let case = CASES[case];
-        let instance = differential_instance(case, dcs, locs, w, seed);
-        let horizon = instance.horizon();
-        let settings = IpmSettings::default();
-        let schur = solve_structured(horizon.slq(), &settings, None, &Recorder::disabled());
-        let riccati = solve_lq(&horizon.to_lq(), &settings);
-        let feasible = horizon.preflight().expect("preflight").is_feasible();
-        prop_assert_eq!(feasible, case != Case::Infeasible);
-        match (case, schur, riccati) {
-            (Case::Infeasible, schur, riccati) => {
-                prop_assert!(
-                    matches!(schur, Err(SolverError::Infeasible { .. })),
-                    "schur: {:?}", schur.map(|s| s.objective)
-                );
-                prop_assert!(
-                    matches!(riccati, Err(SolverError::Infeasible { .. })),
-                    "riccati: {:?}", riccati.map(|s| s.objective)
-                );
-            }
-            (_, Ok(schur), Ok(riccati)) => {
-                prop_assert!(
-                    (schur.objective - riccati.objective).abs()
-                        <= 1e-8 * (1.0 + riccati.objective.abs()),
-                    "{:?}: schur {} vs riccati {}", case, schur.objective, riccati.objective
-                );
-                if case.unique_duals() {
-                    assert_duals_agree(
-                        "capacity",
-                        &horizon.capacity_duals(&schur),
-                        &horizon.capacity_duals(&riccati),
-                        1e-6,
-                    );
-                    assert_duals_agree(
-                        "demand",
-                        &horizon.demand_duals(&schur),
-                        &horizon.demand_duals(&riccati),
-                        1e-6,
-                    );
-                }
-                // Next period, warm-started from the shifted solution.
-                let next = instance.shifted(&schur.xs[1]).horizon();
-                let mut guess = schur.us[1..].to_vec();
-                guess.push(Vector::zeros(schur.us[0].len()));
-                let warm_schur =
-                    solve_structured(next.slq(), &settings, Some(&guess), &Recorder::disabled());
-                let warm_riccati = solve_lq_warm(&next.to_lq(), &settings, Some(&guess));
-                match (warm_schur, warm_riccati) {
-                    (Ok(s), Ok(r)) => prop_assert!(
-                        (s.objective - r.objective).abs() <= 1e-8 * (1.0 + r.objective.abs()),
-                        "{:?} warm: schur {} vs riccati {}", case, s.objective, r.objective
-                    ),
-                    (s, r) => prop_assert!(
-                        false,
-                        "{:?} warm: schur {:?} / riccati {:?}",
-                        case,
-                        s.map(|s| s.objective),
-                        r.map(|r| r.objective)
-                    ),
-                }
-            }
-            (_, schur, riccati) => prop_assert!(
-                false,
-                "{:?}: schur {:?} / riccati {:?}",
-                case,
-                schur.map(|s| s.objective),
-                riccati.map(|s| s.objective)
-            ),
-        }
-        if matches!(case, Case::Infeasible | Case::Outage) {
-            let slq = horizon.slq();
-            let spec = SoftSpec::uniform(instance.demand.len(), 1e4, 1e-4);
-            let relaxed = slq.relax_demand(&spec).expect("relaxation");
-            let schur = solve_structured(&relaxed, &settings, None, &Recorder::disabled())
-                .expect("schur recovery");
-            let schur_shed = unserved(slq, &slq.strip_slack(&schur));
-            if case == Case::Outage {
-                // Feasible despite the outage: nothing to shed. (The
-                // pinned dark DC has no strictly feasible point, so its
-                // multipliers are unbounded and the solve may end
-                // `AlmostOptimal`; the placement must still be exact.)
-                prop_assert!(
-                    schur_shed.iter().all(|&s| s <= 1e-6),
-                    "outage recovery shed {:?}", schur_shed
-                );
-            }
-            else {
-                prop_assert_eq!(schur.status, SolveStatus::Optimal);
-            }
-            // The dense references: Riccati on the same relaxation's
-            // expansion, and on the slack-input relaxation. Only their
-            // `Optimal` answers are held to the Schur one — a pinned dark
-            // DC or a zero-Hessian slack can stall the Riccati recursion
-            // into a degraded `AlmostOptimal` iterate that sheds demand it
-            // could serve.
-            let lq = horizon.to_lq();
-            let mut soften = vec![true; w + 1];
-            soften[0] = false;
-            let inputs = relax_lq_slots(&lq, &spec, &soften).expect("slack-input relaxation");
-            let references = [
-                solve_lq(&relaxed.to_lq(), &settings)
-                    .map(|sol| (sol.status, slq.strip_slack(&sol))),
-                solve_lq(&inputs.problem, &settings)
-                    .map(|sol| (sol.status, inputs.split_solution(&lq, &sol).solution)),
-            ];
-            for (status, sol) in references.into_iter().flatten() {
-                if status != SolveStatus::Optimal {
-                    continue;
-                }
-                let shed = unserved(slq, &sol);
-                for k in 0..w {
-                    prop_assert!(
-                        (schur_shed[k] - shed[k]).abs() <= 1e-6 * (1.0 + shed[k]),
-                        "slot {}: schur sheds {:?}, dense {:?}", k + 1, schur_shed, shed
-                    );
-                }
-            }
-        }
+        assert_kkt_backends_agree(CASES[case], dcs, locs, w, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(300))]
+    /// [`assert_kkt_backends_agree`], tolerances unchanged, on horizons
+    /// whose conversion coefficients span three decades: the per-arc
+    /// scales meet in the same capacity and demand rows.
+    #[test]
+    fn kkt_backends_agree_across_three_decades_of_coefficients(
+        dcs in 2usize..5,
+        locs in 1usize..6,
+        w in 1usize..5,
+        seed in 0u64..1_000_000,
+    ) {
+        assert_kkt_backends_agree(Case::WideCoefficients, dcs, locs, w, seed);
     }
 }
